@@ -11,10 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Coefficients of the engine are exact rationals.  Fraction is always stored
-# reduced with a positive denominator, which is exactly the invariant we need.
-Rational = Fraction
-
 
 class DimensionMismatch(ValueError):
     pass
@@ -41,8 +37,7 @@ class _RowAccumulator:
     Rows are kept echelonized (strictly increasing pivot columns) by xgcd
     combinations, which keeps entries from blowing up the way naive
     fraction-free elimination does.  If tags are supplied, every basis row
-    carries the integer combination of input rows that produced it, and input
-    rows that reduce to zero yield relation vectors.
+    carries the integer combination of input rows that produced it.
     """
 
     def __init__(self, width, track=False):
@@ -50,7 +45,6 @@ class _RowAccumulator:
         self.rows = []        # echelon rows, pivot columns increasing
         self.pivots = []      # pivot column of each row
         self.tags = []        # coefficient vector per row (if track)
-        self.relations = []   # coefficient vectors reducing to zero
         self.track = track
 
     def add(self, vec, tag=None):
@@ -62,8 +56,6 @@ class _RowAccumulator:
         while True:
             lead = next((c for c in range(self.width) if vec[c]), None)
             if lead is None:
-                if self.track and any(tag):
-                    self.relations.append(tuple(tag))
                 return
             while j < len(self.pivots) and self.pivots[j] < lead:
                 j += 1
@@ -204,11 +196,6 @@ def hnf(matrix, ambient_dim=None):
                           tuple(acc.pivots))
 
 
-def lattice_membership(vec, lattice):
-    """True iff vec lies in the lattice (integer coordinates exist)."""
-    return lattice.contains(vec)
-
-
 def solve_integer_combination(rows, target, width=None):
     """Integer x with sum_i x[i]*rows[i] == target, or None.
 
@@ -244,20 +231,6 @@ def solve_integer_combination(rows, target, width=None):
     if any(vec):
         return None
     return combo
-
-
-def integer_kernel(matrix, width):
-    """Basis of {x : x * matrix == 0} as a saturated sublattice of Z^len(matrix).
-
-    matrix is a list of rows of length width; x runs over integer row vectors.
-    """
-    acc = _RowAccumulator(width, track=True)
-    n = len(matrix)
-    for i, row in enumerate(matrix):
-        tag = [0] * n
-        tag[i] = 1
-        acc.add(row, tag)
-    return [list(rel) for rel in acc.relations]
 
 
 def snf_diagonal(matrix):
@@ -486,16 +459,6 @@ class Mod2Subspace:
         return f"Mod2Subspace(dim={self.ambient_dim}, rank={self.rank})"
 
 
-def gf2_reduce(rows, ambient_dim):
-    """Row-reduce bit-packed GF(2) vectors into a canonical subspace."""
-    return Mod2Subspace(ambient_dim, rows)
-
-
-def gf2_membership(vec, space):
-    """True iff the bitmask vec lies in the subspace."""
-    return space.contains(vec)
-
-
 def gf2_apply(images, vec):
     """Apply the GF(2)-linear map sending basis vector i to images[i]."""
     out = 0
@@ -504,13 +467,6 @@ def gf2_apply(images, vec):
         out ^= images[low.bit_length() - 1]
         vec ^= low
     return out
-
-
-def gf2_rank(rows, ambient_dim):
-    space = Mod2Subspace(ambient_dim)
-    for r in rows:
-        space.add(r)
-    return space.rank
 
 
 def gf2_kernel(images, ambient_dim, codomain_dim):

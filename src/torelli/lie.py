@@ -96,15 +96,8 @@ def standard_bracketing(word):
     return (standard_bracketing(u), standard_bracketing(v))
 
 
-def tree_leaves(tree):
-    if isinstance(tree, int):
-        yield tree
-    else:
-        yield from tree_leaves(tree[0])
-        yield from tree_leaves(tree[1])
-
-
 def tree_size(tree):
+    """Number of leaves of a bracket tree."""
     return 1 if isinstance(tree, int) else tree_size(tree[0]) + tree_size(tree[1])
 
 
@@ -312,13 +305,13 @@ class LieContext:
         terms = {(i, self.genus + i): Fraction(1) for i in range(1, self.genus + 1)}
         return LieElement(self, terms)
 
-    def from_tree(self, tree, coeff=1):
+    def from_tree(self, tree):
         """Evaluate an iterated-bracket tree with generator leaves."""
         if isinstance(tree, int):
-            return self.generator(tree) * coeff
+            return self.generator(tree)
         if tree_size(tree) > self.max_degree:
             return self.zero()
-        return self.from_tree(tree[0]).bracket(self.from_tree(tree[1])) * coeff
+        return self.from_tree(tree[0]).bracket(self.from_tree(tree[1]))
 
     def letter_name(self, letter):
         if letter <= self.genus:

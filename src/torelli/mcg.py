@@ -22,10 +22,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import rational_rank
+from .exact_linalg import rational_rank, solve_rational_combination
 from .lie import get_context, standard_bracketing
-from .trees import (DerivationElement, TreeSum, congruent_mod_trees, join,
-                    l3_mod2_bits, mod1_class_is_zero, project_l3_to_a, varpi)
+from .sp_mod2 import tree_mod2_bits
+from .trees import (DerivationElement, TreeSum, congruent_mod_trees,
+                    diagram_rows, join, mod1_class_is_zero, omega_pairing,
+                    project_l3_to_a, varpi)
 from .words import comm, conjugate, parse_word, theta
 
 CAP = 4  # the calculus stops at tree degree 4
@@ -197,13 +199,19 @@ def _as_word(w):
     return parse_word(w) if isinstance(w, str) else w
 
 
+def _as_power(power):
+    if not isinstance(power, int) or isinstance(power, bool):
+        raise ValueError(f"power must be an integer, got {power!r}")
+    return power
+
+
 class SeparatingTwist:
     """Dehn twist along a separating curve, given by a lift of the curve to
     the free group.  The lift must be null-homologous."""
 
     def __init__(self, lift, power=1):
         self.lift = _as_word(lift)
-        self.power = power
+        self.power = _as_power(power)
 
     def __repr__(self):
         return f"Twist({self.lift.render()!r}, power={self.power})"
@@ -216,7 +224,7 @@ class BoundingPairMap:
     def __init__(self, gamma, c, power=1):
         self.gamma = _as_word(gamma)
         self.c = _as_word(c)
-        self.power = power
+        self.power = _as_power(power)
 
     def __repr__(self):
         return (f"BoundingPair({self.gamma.render()!r}, {self.c.render()!r}, "
@@ -249,7 +257,7 @@ class Inverse:
 
 def twist_value(table, twist):
     """Value of a separating twist power: half the self-join of theta(lift),
-    composed with itself |power| times."""
+    times the power."""
     th = theta(twist.lift, table)
     if not th.degree_part(1).is_zero():
         raise NotInFiltration(
@@ -301,13 +309,10 @@ def bounding_pair_value(table, bp):
 
 
 def _power(value, n):
+    # BCH(x, x) = 2x: every bracket of a value with itself cancels.
     if n == 0:
         return GradedValue.zero(value.genus)
-    base = value if n > 0 else value.inverse()
-    out = base
-    for _ in range(abs(n) - 1):
-        out = out.bch(base)
-    return out
+    return value * n
 
 
 def factor_value(table, factor):
@@ -329,24 +334,28 @@ def factor_value(table, factor):
     raise TypeError(f"unknown factor {factor!r}")
 
 
-def conjugate_torelli(value_f, value_h):
-    """Value of f h f^-1 from the values of f and h (both Torelli)."""
-    return value_h.conjugate_by(value_f)
-
-
 # --- Johnson homomorphisms and the torsion-detecting map --------------------
+
+def _require_vanishing(value, degrees, claim):
+    """Raise NotInFiltration unless the parts of the given degrees have zero
+    eta image."""
+    for d in degrees:
+        part = value.part(d)
+        if part.terms and not all(v.is_zero()
+                                  for v in part.eta_graded().values()):
+            raise NotInFiltration(f"degree-{d} part is nonzero: {claim}")
+
+
+def _eta_or_zero(ts, genus, degree):
+    return ts.eta() if ts.terms else DerivationElement.zero(genus, degree)
+
 
 def tau(value, k):
     """Degree-k part as a derivation element, for a value claimed in the k-th
     filtration step.  Raises if a lower known part is nonvanishing."""
-    for d in range(value.depth, min(k, value.known + 1)):
-        low = value.part(d)
-        if low.terms and not all(v.is_zero() for v in low.eta_graded().values()):
-            raise NotInFiltration(f"degree-{d} part is nonzero: not in M[{k}]")
-    ts = value.part(k)
-    if not ts.terms:
-        return DerivationElement.zero(value.genus, k)
-    return ts.eta()
+    _require_vanishing(value, range(value.depth, min(k, value.known + 1)),
+                       f"not in M[{k}]")
+    return _eta_or_zero(value.part(k), value.genus, k)
 
 
 def tau_is_integral(dv):
@@ -390,33 +399,26 @@ class RResult:
         return f"<R {verdict} mod 1>"
 
 
+def _reduce_mod1(genus, r4):
+    dv = _eta_or_zero(r4, genus, 4)
+    zero, failing = mod1_class_is_zero(dv)
+    return RResult(genus, r4, dv, zero, failing, _odd_denominators(dv))
+
+
 def r_mod1(value):
     """The class of the degree-4 part modulo integer diagrams, for a value of
     a Johnson-kernel element (degree-1 part must vanish)."""
-    if value.depth < 2:
-        low = value.part(1)
-        if low.terms and not all(v.is_zero() for v in low.eta_graded().values()):
-            raise NotInFiltration("degree-1 part is nonzero: not in the kernel")
-    r4 = value.part(4)
-    dv = r4.eta() if r4.terms else DerivationElement.zero(value.genus, 4)
-    zero, failing = mod1_class_is_zero(dv)
-    return RResult(value.genus, r4, dv, zero, failing, _odd_denominators(dv))
+    _require_vanishing(value, (1,), "not in the kernel")
+    return _reduce_mod1(value.genus, value.part(4))
 
 
 def r_circ_mod1(value):
     """The homomorphism variant: subtract half the self-contraction of the
     degree-2 part before reducing mod 1."""
-    if value.depth < 2:
-        low = value.part(1)
-        if low.terms and not all(v.is_zero() for v in low.eta_graded().values()):
-            raise NotInFiltration("degree-1 part is nonzero: not in the kernel")
-    r4 = value.part(4)
+    _require_vanishing(value, (1,), "not in the kernel")
     t2 = value.part(2)
-    shifted = r4 - t2.contract(t2) * Fraction(1, 2)
-    dv = (shifted.eta() if shifted.terms
-          else DerivationElement.zero(value.genus, 4))
-    zero, failing = mod1_class_is_zero(dv)
-    return RResult(value.genus, shifted, dv, zero, failing, _odd_denominators(dv))
+    return _reduce_mod1(value.genus,
+                        value.part(4) - t2.contract(t2) * Fraction(1, 2))
 
 
 # --- the Casson-derived homomorphisms ---------------------------------------
@@ -504,33 +506,12 @@ def d_bar(table, factor):
         return None
     g = table.ctx.genus
     val = Fraction(-(1 + 2 * g), 12) * v[0] + Fraction(g - 1, 3) * v[1]
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ValueError(f"dbar value {val} is not an integer")
     return val.numerator
 
 
 # --- the degree-3 trace -----------------------------------------------------
-
-def _caterpillar3(genus, c):
-    return TreeSum.single(genus, (c[0], c[1]), (c[2], (c[3], c[4])))
-
-
-@lru_cache(maxsize=None)
-def _caterpillar_basis(genus, md):
-    """Basis-colored degree-3 chains of a multidegree plus their eta vectors."""
-    from itertools import permutations
-    colors = []
-    for i, c in enumerate(md):
-        colors.extend([i + 1] * c)
-    cats = []
-    vecs = []
-    for coloring in sorted(set(permutations(colors))):
-        ts = _caterpillar3(genus, coloring)
-        if not ts.terms:
-            continue
-        cats.append(coloring)
-        vecs.append(ts.eta().component_vector(md))
-    return tuple(cats), tuple(vecs)
-
 
 def tr3(ts):
     """Morita's degree-3 trace into the cubic symmetric power.
@@ -540,22 +521,20 @@ def tr3(ts):
       2 w(e,a) bcd + 2 w(a,d) ecb + 2 w(d,b) ace + 2 w(b,e) dca.
     Returns a map from sorted letter triples to Fraction.
     """
-    from .exact_linalg import solve_rational_combination
-    from .trees import omega_pairing
     genus = ts.genus
     dvs = ts.eta_graded()
     if not dvs:
         return {}
-    assert set(dvs) == {3}, "tr3 needs a degree-3 tree sum"
+    if set(dvs) != {3}:
+        raise ValueError(f"tr3 needs a degree-3 tree sum, got {sorted(dvs)}")
     dv = dvs[3]
     out = {}
     for md in dv.multidegrees():
-        cats, vecs = _caterpillar_basis(genus, md)
-        target = dv.component_vector(md)
-        combo = solve_rational_combination(vecs, target)
+        chains, vecs = diagram_rows(genus, 3, md)
+        combo = solve_rational_combination(vecs, dv.component_vector(md))
         if combo is None:
             raise ValueError("degree-3 element outside the span of chains")
-        for coeff, c in zip(combo, cats):
+        for coeff, c in zip(combo, chains):
             if not coeff:
                 continue
             a, b, cc, d, e = c
@@ -724,9 +703,7 @@ def build_phi(table):
 
     tau1_i = tau(value_i, 1)
     tau2_k = tau(value_k, 2)
-    tau3_phi_tree = value_phi.part(3)
-    tau3_phi = (tau3_phi_tree.eta() if tau3_phi_tree.terms
-                else DerivationElement.zero(genus, 3))
+    tau3_phi = _eta_or_zero(value_phi.part(3), genus, 3)
 
     r4 = value_phi.part(4)
     result = r_mod1(value_phi)
@@ -741,7 +718,7 @@ def build_phi(table):
 
     bits = result.varpi_bits()
     closed_bits = project_l3_to_a(genus, bits)
-    expected_bits = l3_mod2_bits(genus, ((1, 2), 3))
+    expected_bits = tree_mod2_bits(genus, ((1, 2), 3))
     expected_closed = project_l3_to_a(genus, expected_bits)
 
     return {

@@ -143,50 +143,42 @@ def _l3_index(genus):
     return {w: i for i, w in enumerate(_l3_words(genus))}
 
 
-@lru_cache(maxsize=None)
-def _bracket_bits(genus, shape, x, y, z):
-    """[[x,y],z] or [x,[y,z]] (shape "L"/"R") in the Lyndon basis, mod 2."""
-    ctx = get_context(genus, 3)
-    tree = ((x, y), z) if shape == "L" else (x, (y, z))
-    elt = ctx.from_tree(tree)
+def l3_mod2_bits(x):
+    """An integral degree-3 Lie element as a bitmask over the Lyndon basis of
+    L_3, mod 2."""
+    index = _l3_index(x.ctx.genus)
     bits = 0
-    index = _l3_index(genus)
-    for w, c in elt.terms.items():
-        assert c.denominator == 1
+    for w, c in x.terms.items():
+        if c.denominator != 1:
+            raise ValueError(f"coefficient {c} of {w} is not an integer")
         if c.numerator % 2:
             bits ^= 1 << index[w]
     return bits
 
 
-def act_on_l3(transformation, vec):
-    """Apply an Sp transformation to an L_3 mod-2 vector (bitmask)."""
-    return gf2_apply(action_matrix(transformation), vec)
+@lru_cache(maxsize=None)
+def tree_mod2_bits(genus, tree):
+    """A degree-3 bracket tree with generator leaves in L_3 mod 2."""
+    return l3_mod2_bits(get_context(genus, 3).from_tree(tree))
 
 
 @lru_cache(maxsize=None)
-def _action_matrix_cached(transformation):
-    g = transformation.genus
-    words = _l3_words(g)
-    images = transformation.images
-    out = []
-    for w in words:
-        tree = get_context(g, 3).bracketing(w)
-        if isinstance(tree[0], tuple):
-            shape, (p, q), r = "L", tree[0], tree[1]
-        else:
-            shape, p, (q, r) = "R", tree[0], tree[1]
-        acc = 0
-        for x in _bits(images[p - 1]):
-            for y in _bits(images[q - 1]):
-                for z in _bits(images[r - 1]):
-                    acc ^= _bracket_bits(g, shape, x, y, z)
-        out.append(acc)
-    return tuple(out)
-
-
 def action_matrix(transformation):
     """Basis-image list of the transformation acting on L_3 mod 2."""
-    return _action_matrix_cached(transformation)
+    g = transformation.genus
+    ctx = get_context(g, 3)
+    images = transformation.images
+    out = []
+    for w in _l3_words(g):
+        left_normed = isinstance(ctx.bracketing(w)[0], tuple)
+        acc = 0
+        for x in _bits(images[w[0] - 1]):
+            for y in _bits(images[w[1] - 1]):
+                for z in _bits(images[w[2] - 1]):
+                    tree = ((x, y), z) if left_normed else (x, (y, z))
+                    acc ^= tree_mod2_bits(g, tree)
+        out.append(acc)
+    return tuple(out)
 
 
 # --- the contraction and its kernel ------------------------------------------
@@ -221,14 +213,7 @@ def stigma(genus, vec):
 def omega_bracket_bits(genus, h):
     """[omega, h] in L_3 mod 2, for a generator letter h."""
     ctx = get_context(genus, 3)
-    om = ctx.omega()
-    elt = om.bracket(ctx.generator(h))
-    index = _l3_index(genus)
-    bits = 0
-    for w, c in elt.terms.items():
-        if c.numerator % 2:
-            bits ^= 1 << index[w]
-    return bits
+    return l3_mod2_bits(ctx.omega().bracket(ctx.generator(h)))
 
 
 def stigma_kernel(genus):
@@ -269,21 +254,18 @@ def standard_generators(genus):
     return gens
 
 
-def orbit_span(genus, seed_bits, transformations=None, guard_kernel=True):
+def orbit_span(genus, seed_bits):
     """Smallest subspace of L_3 mod 2 containing the seed and stable under the
-    transformations.  With guard_kernel, every inserted vector is checked to
-    stay inside the kernel of the contraction (it must, by equivariance, when
-    the seed does)."""
-    if transformations is None:
-        transformations = standard_generators(genus)
-    actions = [action_matrix(t) for t in transformations]
-    dim = len(_l3_words(genus))
-    guard = None
-    if guard_kernel:
-        def guard(vec):
-            if stigma(genus, vec):
-                raise AssertionError("orbit left the contraction kernel")
-    return gf2_span_closure([seed_bits], actions, dim, guard=guard)
+    standard generators.  Every inserted vector is checked to stay inside the
+    kernel of the contraction (it must, by equivariance, when the seed
+    does)."""
+    actions = [action_matrix(t) for t in standard_generators(genus)]
+
+    def guard(vec):
+        if stigma(genus, vec):
+            raise AssertionError("orbit left the contraction kernel")
+    return gf2_span_closure([seed_bits], actions, len(_l3_words(genus)),
+                            guard=guard)
 
 
 def verify_kernel_lemma(genus):
@@ -291,21 +273,20 @@ def verify_kernel_lemma(genus):
     kernel.  Returns (ok, span_dim, kernel_dim).  Needs genus >= 3."""
     if genus < 3:
         raise ValueError("the orbit-span identification needs genus >= 3")
-    seed = _bracket_bits(genus, "L", 1, 2, 3)
+    seed = tree_mod2_bits(genus, ((1, 2), 3))
     span = orbit_span(genus, seed)
     ker = stigma_kernel(genus)
     return span == ker, span.rank, ker.rank
 
 
 def lower_bound_exponents(genus):
-    """Exponents of the two lower bounds: (bordered, closed).
+    """Exponents of the two lower bounds from Witt ranks: (bordered, closed).
 
-    bordered = rk L_3(H) - rk H = (8/3)(g^3 - g)
-    closed   = rk L_3(A) - rk A = (1/3)(g^3 - 4g)
+    bordered = rk L_3(H) - rk H, which should equal (8/3)(g^3 - g)
+    closed   = rk L_3(A) - rk A, which should equal (1/3)(g^3 - 4g)
     """
-    assert genus >= 2
+    if genus < 2:
+        raise ValueError("the lower bounds need genus >= 2")
     bordered = witt_rank(2 * genus, 3) - 2 * genus
     closed = witt_rank(genus, 3) - genus
-    assert 3 * bordered == 8 * (genus ** 3 - genus)
-    assert 3 * closed == genus ** 3 - 4 * genus
     return bordered, closed

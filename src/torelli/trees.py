@@ -22,7 +22,8 @@ from math import gcd
 
 from .exact_linalg import (hnf, quotient_diagonal, rref,
                            reduce_mod_rowspace, solve_integer_combination)
-from .lie import LieElement, get_context, ideal_omega_component
+from .lie import LieElement, get_context, ideal_omega_component, tree_size
+from .sp_mod2 import tree_mod2_bits
 
 
 def lie_lift(ctx, x):
@@ -54,19 +55,6 @@ def tree_key(tree):
     if isinstance(tree, int):
         return (0, tree)
     return (1, tree_key(tree[0]), tree_key(tree[1]))
-
-
-def tree_leaf_count(tree):
-    return 1 if isinstance(tree, int) else (tree_leaf_count(tree[0])
-                                            + tree_leaf_count(tree[1]))
-
-
-def tree_colors(tree):
-    if isinstance(tree, int):
-        yield tree
-    else:
-        yield from tree_colors(tree[0])
-        yield from tree_colors(tree[1])
 
 
 def canonical_tree(tree):
@@ -116,9 +104,9 @@ class TreeSum:
             raise ValueError("genus mismatch")
 
     @staticmethod
-    def single(genus, u, v, coeff=1):
+    def single(genus, u, v):
         ts = TreeSum(genus)
-        ts.add_join(u, v, Fraction(coeff))
+        ts.add_join(u, v, Fraction(1))
         return ts
 
     def add_join(self, u, v, coeff):
@@ -161,18 +149,15 @@ class TreeSum:
         return self * -1
 
     def degrees(self):
-        return sorted({tree_leaf_count(u) + tree_leaf_count(v) - 2
+        return sorted({tree_size(u) + tree_size(v) - 2
                        for (u, v) in self.terms})
 
     def degree_part(self, d):
         out = TreeSum(self.genus)
         for (u, v), c in self.terms.items():
-            if tree_leaf_count(u) + tree_leaf_count(v) - 2 == d:
+            if tree_size(u) + tree_size(v) - 2 == d:
                 out.terms[(u, v)] = c
         return out
-
-    def is_symbolically_zero(self):
-        return not self.terms
 
     def eta(self):
         """Image in H tensor L as a DerivationElement (homogeneous input)."""
@@ -189,7 +174,7 @@ class TreeSum:
         per = {}
         g = self.genus
         for (u, v), c in self.terms.items():
-            d = tree_leaf_count(u) + tree_leaf_count(v) - 2
+            d = tree_size(u) + tree_size(v) - 2
             if d == 0:
                 raise ValueError("degree-0 join has no derivation image")
             ctx = get_context(g, d + 1)
@@ -210,11 +195,11 @@ class TreeSum:
         g = self.genus
         out = TreeSum(g)
         for (u1, v1), c1 in self.terms.items():
-            if tree_leaf_count(u1) + tree_leaf_count(v1) == 2:
+            if tree_size(u1) + tree_size(v1) == 2:
                 raise ValueError("degree-0 join cannot be glued")
             dec1 = join_leaf_decompositions(u1, v1)
             for (u2, v2), c2 in other.terms.items():
-                if tree_leaf_count(u2) + tree_leaf_count(v2) == 2:
+                if tree_size(u2) + tree_size(v2) == 2:
                     raise ValueError("degree-0 join cannot be glued")
                 for x, tx in dec1:
                     for y, ty in join_leaf_decompositions(u2, v2):
@@ -272,18 +257,6 @@ def join(x, y, allow_degree0=False):
                 raise ValueError("degree-0 join; pass allow_degree0=True")
             out.add_join(tx, ty, cx * cy)
     return out
-
-
-def eta(ts):
-    return ts.eta()
-
-
-def tree_bracket(p, q):
-    return p.bracket(q)
-
-
-def contract(p, q):
-    return p.contract(q)
 
 
 class DerivationElement:
@@ -467,10 +440,6 @@ class DerivationElement:
         return f"<Derivation g={self.genus} deg={self.degree} {len(self.terms)} terms>"
 
 
-def derivation_bracket(d1, d2):
-    return d1.bracket(d2)
-
-
 def _term_multidegree(genus, key):
     h, w = key
     counts = [0] * (2 * genus)
@@ -527,14 +496,14 @@ def _shapes(degree):
 
 
 def basis_colored_trees(genus, degree, md):
-    """All basis-colored diagrams of the degree and multidegree, as TreeSums."""
+    """All basis-colored diagrams of the degree and multidegree, as
+    (coloring, TreeSum) pairs."""
     out = []
     for coloring in _colorings(md):
         for shape in _shapes(degree):
-            u, v = shape(coloring)
-            ts = TreeSum.single(genus, u, v)
+            ts = TreeSum.single(genus, *shape(coloring))
             if ts.terms:
-                out.append(ts)
+                out.append((coloring, ts))
     return out
 
 
@@ -551,40 +520,39 @@ def half_symmetric_generators(genus, md):
     for i, c in enumerate(half):
         colors.extend([i + 1] * c)
     out = []
-    basis = component_basis(genus, sum(md) - 2, md)
-    index = {k: i for i, k in enumerate(basis)}
     for (x, y, z) in sorted(set(permutations(colors))):
         u = ((x, y), z)
-        cu, _ = canonical_tree(u)
-        if cu is None:
-            continue
         ts = TreeSum.single(genus, u, u)
         if not ts.terms:
             continue
         vec = ts.eta().component_vector(md)
-        ivec = []
-        for v in vec:
-            assert v.denominator == 1 and v.numerator % 2 == 0
-            ivec.append(v.numerator // 2)
-        out.append((u, tuple(ivec)))
+        if any(v.denominator != 1 or v.numerator % 2 for v in vec):
+            raise ValueError(f"eta of the double of {u} is not even")
+        out.append((u, tuple(v.numerator // 2 for v in vec)))
     return out
 
 
 def _eta_int_vector(ts, md):
     vec = ts.eta().component_vector(md)
-    out = []
-    for v in vec:
-        assert v.denominator == 1
-        out.append(v.numerator)
-    return tuple(out)
+    if any(v.denominator != 1 for v in vec):
+        raise ValueError(f"eta image in component {md} is not integral")
+    return tuple(v.numerator for v in vec)
+
+
+@lru_cache(maxsize=None)
+def diagram_rows(genus, degree, md):
+    """(colorings, integer eta vectors) of the basis-colored diagrams of the
+    md component, in the order of basis_colored_trees."""
+    pairs = basis_colored_trees(genus, degree, md)
+    return (tuple(c for c, _ts in pairs),
+            tuple(_eta_int_vector(ts, md) for _c, ts in pairs))
 
 
 @lru_cache(maxsize=None)
 def tree_lattice(genus, degree, md):
     """HNF lattice of eta images of integer diagrams in the md component."""
-    basis = component_basis(genus, degree, md)
-    rows = [_eta_int_vector(ts, md) for ts in basis_colored_trees(genus, degree, md)]
-    return hnf(rows, ambient_dim=len(basis))
+    _, rows = diagram_rows(genus, degree, md)
+    return hnf(rows, ambient_dim=len(component_basis(genus, degree, md)))
 
 
 @lru_cache(maxsize=None)
@@ -597,26 +565,19 @@ def degree4_presentation(genus, md):
     Together the rows generate the full integral degree-4 symplectic
     derivation lattice; the diagram rows alone generate its tree sublattice.
     """
-    rows = [_eta_int_vector(ts, md) for ts in basis_colored_trees(genus, 4, md)]
+    _, rows = diagram_rows(genus, 4, md)
     half = half_symmetric_generators(genus, md)
-    rows.extend(vec for (_u, vec) in half)
-    return tuple(rows), tuple(u for (u, _vec) in half)
-
-
-@lru_cache(maxsize=None)
-def full_degree4_lattice(genus, md):
-    rows, _ = degree4_presentation(genus, md)
-    basis = component_basis(genus, 4, md)
-    return hnf(rows, ambient_dim=len(basis))
+    return (rows + tuple(vec for (_u, vec) in half),
+            tuple(u for (u, _vec) in half))
 
 
 def mod1_class_is_zero(v):
-    """Whether a degree-4 derivation element lies in the integer tree lattice.
+    """Whether a derivation element lies in the integer tree lattice of its
+    degree.
 
     Exact per multidegree component: with q the denominator lcm, tests q*v in
     q*Lattice.  Returns (verdict, failing multidegrees).
     """
-    assert v.degree == 4
     failing = []
     for md in v.multidegrees():
         vec = v.component_vector(md)
@@ -624,7 +585,7 @@ def mod1_class_is_zero(v):
         for c in vec:
             q = q * c.denominator // gcd(q, c.denominator)
         ivec = [int(c * q) for c in vec]
-        lat = tree_lattice(v.genus, 4, md)
+        lat = tree_lattice(v.genus, v.degree, md)
         if q > 1:
             lat = lat.scaled(q)
         if not lat.contains(ivec):
@@ -635,21 +596,9 @@ def mod1_class_is_zero(v):
 def congruent_mod_trees(v, w):
     """Whether two derivation elements of equal degree differ by an integer
     combination of diagrams (the displayed congruences of the computation)."""
-    assert v.degree == w.degree
-    diff = v - w
-    ok = True
-    for md in diff.multidegrees():
-        vec = diff.component_vector(md)
-        q = 1
-        for c in vec:
-            q = q * c.denominator // gcd(q, c.denominator)
-        ivec = [int(c * q) for c in vec]
-        lat = tree_lattice(v.genus, diff.degree, md)
-        if q > 1:
-            lat = lat.scaled(q)
-        if not lat.contains(ivec):
-            ok = False
-    return ok
+    if v.degree != w.degree:
+        raise ValueError(f"degrees {v.degree} and {w.degree} differ")
+    return mod1_class_is_zero(v - w)[0]
 
 
 def varpi(v):
@@ -661,7 +610,8 @@ def varpi(v):
     Well defined because relations among the generators have even
     half-symmetric part.
     """
-    assert v.degree == 4
+    if v.degree != 4:
+        raise ValueError(f"varpi needs degree 4, got degree {v.degree}")
     if not v.is_integral():
         raise ValueError("varpi needs an integral element")
     g = v.genus
@@ -676,28 +626,8 @@ def varpi(v):
         n_half = len(half_trees)
         for i in range(n_half):
             if combo[len(rows) - n_half + i] % 2:
-                out ^= l3_mod2_bits(g, half_trees[i])
+                out ^= tree_mod2_bits(g, half_trees[i])
     return out
-
-
-@lru_cache(maxsize=None)
-def _l3_basis_index(genus):
-    ctx = get_context(genus, 3)
-    return {w: i for i, w in enumerate(ctx.lyndon_basis(3))}
-
-
-def l3_mod2_bits(genus, tree_or_elt):
-    """A degree-3 bracket (tree or Lie element) as a bitmask over the Lyndon
-    basis of L_3, mod 2."""
-    ctx = get_context(genus, 3)
-    x = ctx.from_tree(tree_or_elt) if not hasattr(tree_or_elt, "terms") else tree_or_elt
-    index = _l3_basis_index(genus)
-    bits = 0
-    for w, c in x.terms.items():
-        assert c.denominator == 1
-        if c.numerator % 2:
-            bits ^= 1 << index[w]
-    return bits
 
 
 @lru_cache(maxsize=None)
@@ -729,13 +659,9 @@ def project_l3_to_a(genus, bits):
 def lcst_component_diagonal(genus, md):
     """Invariant factors of (degree-4 derivation lattice)/(tree lattice) in
     the md component."""
-    basis = component_basis(genus, 4, md)
     rows, _ = degree4_presentation(genus, md)
-    sub = tree_lattice(genus, 4, md)
-    sup = hnf(rows, ambient_dim=len(basis))
-    if sup.rank == 0:
-        return []
-    return quotient_diagonal(sub.rows, rows, len(basis))
+    return quotient_diagonal(tree_lattice(genus, 4, md).rows, rows,
+                             len(component_basis(genus, 4, md)))
 
 
 def all_multidegrees(genus, total):

@@ -82,10 +82,6 @@ def parse_word(text):
     return GroupWord(letters)
 
 
-def invert(w):
-    return w.inverse()
-
-
 def comm(u, v):
     """The commutator u v u^-1 v^-1."""
     return u * v * u.inverse() * v.inverse()

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from torelli.lie import get_context
-from torelli.trees import TreeSum, join
+from torelli.lie import get_context, tree_size
+from torelli.trees import DerivationElement, TreeSum, join
 from torelli.words import GroupWord, comm, get_table, parse_word, theta
 
 SEED = 1729
@@ -125,12 +125,10 @@ def _graph_of_join(u, v):
 
 def independent_eta(ts):
     """Recompute the leaf-reroot map from the adjacency picture (an oracle)."""
-    from torelli.trees import DerivationElement
     genus = ts.genus
     per_degree = {}
     for (u, v), coeff in ts.terms.items():
-        from torelli.trees import tree_leaf_count
-        degree = tree_leaf_count(u) + tree_leaf_count(v) - 2
+        degree = tree_size(u) + tree_size(v) - 2
         ctx = get_context(genus, degree + 1)
         nodes, leaves = _graph_of_join(u, v)
 
@@ -152,7 +150,6 @@ def independent_eta(ts):
                     acc[key] = val
                 else:
                     del acc[key]
-    from torelli.trees import DerivationElement
     return {d: DerivationElement(genus, d, acc) for d, acc in per_degree.items()}
 
 

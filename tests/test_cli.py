@@ -132,6 +132,29 @@ def test_compose_bad_json_exit2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"twist": {"lift": "a1+b1+a1-b1-", "power": 2.5}},
+    {"twist": {"lift": "a1+b1+a1-b1-", "power": "2"}},
+    {"twist": {"lift": "a1+b1+a1-b1-", "power": True}},
+    {"twist": "a1+"},
+    {"twist": {"lift": 5}},
+    {"commutator": 5},
+])
+def test_compose_bad_factor_exit2(capsys, spec):
+    code, _, err = run(capsys, "compose", json.dumps(spec))
+    assert code == 2
+    assert err.startswith("input error")
+
+
+def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
+    from torelli import sp_mod2
+    real = sp_mod2.witt_rank
+    monkeypatch.setattr(sp_mod2, "witt_rank", lambda n, d: real(n, d) + 1)
+    code, out, _ = run(capsys, "verify", "lower-bounds", "--max-genus", "3")
+    assert code == 1
+    assert out.count("FAIL") == 2
+
+
 def test_determinism(capsys):
     _, out1, _ = run(capsys, "verify", "theorem-b", "--format", "json")
     _, out2, _ = run(capsys, "verify", "theorem-b", "--format", "json")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from torelli.exact_linalg import (DimensionMismatch, Mod2Subspace, gf2_apply,
                                   gf2_kernel, gf2_span_closure, hnf,
-                                  integer_kernel, lattice_membership,
                                   quotient_diagonal, rational_rank, rref,
                                   snf_diagonal, solve_integer_combination,
                                   solve_rational_combination)
@@ -55,15 +54,15 @@ def test_hnf_has_hnf_shape(matrix):
 
 def test_membership_examples():
     lat = hnf([[1, 1], [0, 2]])
-    assert lattice_membership([1, 1], lat)
-    assert not lattice_membership([1, 0], lat)
-    assert lattice_membership([0, 0], lat)
+    assert lat.contains([1, 1])
+    assert not lat.contains([1, 0])
+    assert lat.contains([0, 0])
 
 
 def test_membership_dimension_mismatch():
     lat = hnf([[1, 1], [0, 2]])
     with pytest.raises(DimensionMismatch):
-        lattice_membership([1, 0, 0], lat)
+        lat.contains([1, 0, 0])
 
 
 def test_membership_against_brute_force():
@@ -76,13 +75,13 @@ def test_membership_against_brute_force():
         lat = hnf(rows, ambient_dim=4)
         coeffs = [rng.randint(-2, 2) for _ in range(3)]
         member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(4)]
-        assert lattice_membership(member, lat)
+        assert lat.contains(member)
         coords = lat.reduce(member)
         rebuilt = [sum(c * r[j] for c, r in zip(coords, lat.rows))
                    for j in range(4)]
         assert rebuilt == member
         probe = [rng.randint(-3, 3) for _ in range(4)]
-        if not lattice_membership(probe, lat):
+        if not lat.contains(probe):
             hits = [cs for cs in product(range(-6, 7), repeat=len(lat.rows))
                     if all(sum(c * r[j] for c, r in zip(cs, lat.rows)) == probe[j]
                            for j in range(4))]
@@ -139,17 +138,6 @@ def test_solve_integer_combination():
 
 def test_solve_integer_combination_no_solution():
     assert solve_integer_combination([[2, 0], [0, 2]], [1, 0]) is None
-
-
-def test_integer_kernel():
-    rng = random.Random(1729)
-    for _ in range(100):
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(5)]
-        kernel = integer_kernel(m, 3)
-        for rel in kernel:
-            image = [sum(c * m[i][j] for i, c in enumerate(rel)) for j in range(3)]
-            assert image == [0, 0, 0]
-        assert len(kernel) == 5 - rational_rank(m)
 
 
 def test_rational_solve():
@@ -229,8 +217,7 @@ def test_gf2_kernel():
 
 
 def test_gf2_reduce_and_membership():
-    from torelli.exact_linalg import gf2_membership, gf2_reduce
-    space = gf2_reduce([0b011, 0b110, 0b101], 3)
+    space = Mod2Subspace(3, [0b011, 0b110, 0b101])
     assert space.rank == 2
-    assert gf2_membership(0b101, space)
-    assert not gf2_membership(0b001, space)
+    assert space.contains(0b101)
+    assert not space.contains(0b001)

@@ -1,24 +1,27 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import SEED
 from torelli.exact_linalg import gf2_apply
 from torelli.lie import witt_rank
-from torelli.sp_mod2 import (SpTransformation, act_on_l3, action_matrix,
-                             handle_rotation, handle_shear,
-                             lower_bound_exponents, omega_bracket_bits,
-                             orbit_span, standard_generators, stigma,
-                             stigma_kernel, swap_handles, transvection,
-                             verify_kernel_lemma, verify_ses, _bracket_bits)
+from torelli.sp_mod2 import (SpTransformation, action_matrix, handle_rotation,
+                             handle_shear, lower_bound_exponents,
+                             omega_bracket_bits, orbit_span,
+                             standard_generators, stigma, stigma_kernel,
+                             swap_handles, transvection, tree_mod2_bits,
+                             verify_kernel_lemma, verify_ses)
 
 
 def test_transvection_action_example():
     # the transvection at b_1 sends [[a1,a2],a3] to itself plus [[b1,a2],a3]
     g = 3
     t = transvection(g, (4,))
-    v = _bracket_bits(g, "L", 1, 2, 3)
-    assert act_on_l3(t, v) == v ^ _bracket_bits(g, "L", 4, 2, 3)
+    v = tree_mod2_bits(g, ((1, 2), 3))
+    assert gf2_apply(action_matrix(t), v) == v ^ tree_mod2_bits(g, ((4, 2), 3))
 
 
 def test_identity_action():
@@ -28,14 +31,14 @@ def test_identity_action():
     dim = witt_rank(2 * g, 3)
     for _ in range(20):
         v = rng.getrandbits(dim)
-        assert act_on_l3(ident, v) == v
+        assert gf2_apply(action_matrix(ident), v) == v
 
 
 def test_rotation_action_example():
     g = 3
     f1 = handle_rotation(g, 1)
-    assert act_on_l3(f1, _bracket_bits(g, "L", 1, 2, 2)) == \
-        _bracket_bits(g, "L", 4, 2, 2)
+    assert gf2_apply(action_matrix(f1), tree_mod2_bits(g, ((1, 2), 2))) == \
+        tree_mod2_bits(g, ((4, 2), 2))
 
 
 def test_nonsymplectic_rejected():
@@ -53,15 +56,35 @@ def test_action_is_multiplicative():
         composed = SpTransformation(
             g, [gf2_apply(m.images, n.images[i]) for i in range(2 * g)])
         v = rng.getrandbits(dim)
-        assert act_on_l3(composed, v) == act_on_l3(m, act_on_l3(n, v))
+        assert gf2_apply(action_matrix(composed), v) == \
+            gf2_apply(action_matrix(m), gf2_apply(action_matrix(n), v))
+
+
+def test_l3_converter_rejects_fractions_under_optimize():
+    # the integrality guard is an explicit raise, so it survives python -O
+    code = (
+        "from fractions import Fraction\n"
+        "from torelli.lie import get_context\n"
+        "from torelli.sp_mod2 import l3_mod2_bits\n"
+        "x = get_context(3, 3).from_tree(((1, 2), 3)) * Fraction(1, 2)\n"
+        "try:\n"
+        "    l3_mod2_bits(x)\n"
+        "except ValueError:\n"
+        "    print('rejected')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "rejected"
 
 
 def test_stigma_examples():
     g = 3
     for h in range(1, 2 * g + 1):
         assert stigma(g, omega_bracket_bits(g, h)) == 1 << (h - 1)
-    assert stigma(g, _bracket_bits(g, "L", 1, 2, 3)) == 0
-    assert stigma(g, _bracket_bits(g, "L", 1, 4, 1)) == 1
+    assert stigma(g, tree_mod2_bits(g, ((1, 2), 3))) == 0
+    assert stigma(g, tree_mod2_bits(g, ((1, 4), 1))) == 1
 
 
 def test_verify_ses():
@@ -90,7 +113,7 @@ def test_orbit_guard_catches_bad_seed():
 
 def test_orbit_stays_in_kernel():
     g = 3
-    seed = _bracket_bits(g, "L", 1, 2, 3)
+    seed = tree_mod2_bits(g, ((1, 2), 3))
     span = orbit_span(g, seed)
     for row in span.rows:
         assert stigma(g, row) == 0

@@ -5,15 +5,16 @@ from itertools import product
 import pytest
 
 from conftest import SEED, independent_eta, rand_homogeneous, rand_tree_sum
-from torelli.exact_linalg import rational_rank
+from torelli.exact_linalg import hnf, rational_rank
 from torelli.lie import get_context, witt_rank
+from torelli.sp_mod2 import tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, basis_colored_trees,
                            canonical_tree, component_basis,
-                           congruent_mod_trees, derivation_bracket, eta,
-                           full_degree4_lattice, half_symmetric_generators,
-                           join, l3_mod2_bits, lcst_component_diagonal,
-                           lcst_full_diagonals, mod1_class_is_zero,
-                           odbar_reduce, project_l3_to_a, tree_lattice, varpi)
+                           congruent_mod_trees, degree4_presentation,
+                           half_symmetric_generators, join,
+                           lcst_component_diagonal, lcst_full_diagonals,
+                           mod1_class_is_zero, odbar_reduce, project_l3_to_a,
+                           tree_lattice, varpi)
 
 
 def test_join_single_monomials():
@@ -117,7 +118,7 @@ def test_bracket_compatibility(rng):
         lhs = p.bracket(q).eta_graded()
         d1 = p.eta()
         d2 = q.eta()
-        rhs = derivation_bracket(d1, d2)
+        rhs = d1.bracket(d2)
         if rhs.is_zero():
             assert all(v.is_zero() for v in lhs.values())
         else:
@@ -149,10 +150,10 @@ def test_derivation_bracket_properties(rng):
         if not p.terms or not q.terms:
             continue
         d1, d2 = p.eta(), q.eta()
-        assert derivation_bracket(d1, d1).is_zero()
-        br = derivation_bracket(d1, d2)
+        assert d1.bracket(d1).is_zero()
+        br = d1.bracket(d2)
         assert br.degree == d1.degree + d2.degree
-        assert derivation_bracket(d2, d1) == -br
+        assert d2.bracket(d1) == -br
 
 
 def test_derivation_is_symplectic(rng):
@@ -187,7 +188,7 @@ def test_degree4_lattice_membership_examples():
     md = (2, 2, 1, 1)
     trees = basis_colored_trees(genus, 4, md)
     lat = tree_lattice(genus, 4, md)
-    vec = [int(c) for c in trees[0].eta().component_vector(md)]
+    vec = [int(c) for c in trees[0][1].eta().component_vector(md)]
     assert lat.contains(vec)
 
     even = (2, 2, 2, 0)
@@ -216,7 +217,7 @@ def test_varpi_examples():
     u = ctx.gen_a(1).bracket(ctx.gen_a(2)).bracket(ctx.gen_a(3))
     half = join(u, u) * Fraction(1, 2)
     bits = varpi(half.eta())
-    assert bits == l3_mod2_bits(3, ((1, 2), 3))
+    assert bits == tree_mod2_bits(3, ((1, 2), 3))
     tree = join(u, ctx.gen_b(1).bracket(ctx.gen_b(2)).bracket(ctx.gen_b(3)))
     assert varpi(tree.eta()) == 0
     # doubling the half-symmetric generator lands in the kernel of the class
@@ -308,11 +309,11 @@ def test_d2_contract_families_at_genus2():
 
 
 def test_closed_projection():
-    bits = l3_mod2_bits(3, ((1, 2), 3))
+    bits = tree_mod2_bits(3, ((1, 2), 3))
     projected = project_l3_to_a(3, bits)
     assert projected != 0
     # a class supported on words with b letters dies
-    bits_b = l3_mod2_bits(3, ((4, 5), 6))
+    bits_b = tree_mod2_bits(3, ((4, 5), 6))
     assert project_l3_to_a(3, bits_b) == 0
 
 
@@ -343,8 +344,10 @@ def test_quotient_has_no_free_part_at_genus1():
     # rationally the tree span fills the degree-4 derivation space
     for md in [(6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5), (0, 6)]:
         trees = basis_colored_trees(1, 4, md)
-        rows = [[int(c) for c in t.eta().component_vector(md)] for t in trees]
-        full = full_degree4_lattice(1, md)
+        rows = [[int(c) for c in t.eta().component_vector(md)]
+                for _c, t in trees]
+        full = hnf(degree4_presentation(1, md)[0],
+                   ambient_dim=len(component_basis(1, 4, md)))
         if rows:
             assert rational_rank(rows) == full.rank
 

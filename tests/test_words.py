@@ -6,7 +6,7 @@ import pytest
 from conftest import SEED, rand_word
 from torelli.lie import get_context
 from torelli.words import (ExpansionTable, GroupWord, WordParseError,
-                           boundary_word, comm, get_table, invert, parse_word,
+                           boundary_word, comm, get_table, parse_word,
                            symplectic_check, theta)
 
 
@@ -33,11 +33,11 @@ def test_parse_render_roundtrip(rng):
 
 
 def test_invert_and_comm():
-    assert invert(parse_word("a1+b1+")).render() == "b1-a1-"
+    assert parse_word("a1+b1+").inverse().render() == "b1-a1-"
     u, v = parse_word("a1+"), parse_word("b1+")
     assert comm(u, v).render() == "a1+b1+a1-b1-"
     w = parse_word("a1+b2-a1-")
-    assert invert(invert(w)) == w
+    assert w.inverse().inverse() == w
 
 
 def test_boundary_word():
