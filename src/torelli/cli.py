@@ -20,6 +20,9 @@ from .words import (EXPANSION_MAX_DEGREE, WordParseError, get_table,
                     parse_word, symplectic_check, theta)
 
 PASS, MISMATCH, INPUT_ERROR, CAPABILITY_ERROR = 0, 1, 2, 3
+# Largest genus of verify sp-kernel: L_3 has rank 1360 at genus 8, and the
+# orbit closure grows faster than that rank.
+_SP_KERNEL_MAX_GENUS = 8
 
 
 class _Out:
@@ -234,6 +237,9 @@ def cmd_verify_lcst(args, out):
 def cmd_verify_sp_kernel(args, out):
     if args.genus < 3:
         raise DegreeCapError("the orbit-span identification needs genus >= 3")
+    if args.genus > _SP_KERNEL_MAX_GENUS:
+        raise DegreeCapError(
+            f"the orbit span is computed up to genus {_SP_KERNEL_MAX_GENUS}")
     ok, span_dim, ker_dim = verify_kernel_lemma(args.genus)
     ses_ok, ker = verify_ses(args.genus)
     good = ok and ses_ok
@@ -247,6 +253,9 @@ def cmd_verify_sp_kernel(args, out):
 def cmd_verify_lower_bounds(args, out):
     """Compare the Witt-rank exponents with the closed forms and with a count
     of the Lyndon basis of L_3."""
+    if args.max_genus < 2:
+        raise DegreeCapError("genus out of range: the bounds start at genus 2, "
+                             f"got --max-genus {args.max_genus}")
     ok = True
     for g in range(2, args.max_genus + 1):
         bordered, closed = lower_bound_exponents(g)
@@ -324,6 +333,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = _Out(args.format)
     try:
+        if args.genus < 1:
+            raise DegreeCapError(f"genus out of range: {args.genus} < 1")
         code = args.func(args, out)
     except WordParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

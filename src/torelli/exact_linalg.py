@@ -10,6 +10,7 @@ are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class DimensionMismatch(ValueError):
@@ -31,27 +32,45 @@ def xgcd(a, b):
     return x, y, g
 
 
+def _combine(row, vec, lead, cols):
+    """One xgcd step on columns lead..cols-1: afterwards row[lead] is the gcd
+    of the two old leads and vec[lead] is 0.  Exact division when it can."""
+    a, b = row[lead], vec[lead]
+    if b % a == 0:
+        q = b // a
+        for c in range(lead, cols):
+            vec[c] -= q * row[c]
+    else:
+        x, y, g = xgcd(a, b)
+        ag, bg = a // g, b // g
+        for c in range(lead, cols):
+            ra, rb = row[c], vec[c]
+            row[c] = x * ra + y * rb
+            vec[c] = -bg * ra + ag * rb
+
+
 class _RowAccumulator:
-    """Incremental row-echelon basis over Z with optional coefficient tracking.
+    """Incremental row-echelon basis over Z.
 
     Rows are kept echelonized (strictly increasing pivot columns) by xgcd
     combinations, which keeps entries from blowing up the way naive
-    fraction-free elimination does.  If tags are supplied, every basis row
-    carries the integer combination of input rows that produced it.
+    fraction-free elimination does.  Each row has width pivoted columns
+    followed by `carried` columns that take part in every row operation but
+    are never pivoted (e.g. the input-row combination that produced it).
     """
 
-    def __init__(self, width, track=False):
+    def __init__(self, width, rows=(), carried=0):
         self.width = width
+        self.cols = width + carried
         self.rows = []        # echelon rows, pivot columns increasing
         self.pivots = []      # pivot column of each row
-        self.tags = []        # coefficient vector per row (if track)
-        self.track = track
+        for row in rows:
+            self.add(row)
 
-    def add(self, vec, tag=None):
-        if len(vec) != self.width:
-            raise DimensionMismatch(f"row width {len(vec)} != {self.width}")
+    def add(self, vec):
+        if len(vec) != self.cols:
+            raise DimensionMismatch(f"row width {len(vec)} != {self.cols}")
         vec = list(vec)
-        tag = list(tag) if self.track else None
         j = 0
         while True:
             lead = next((c for c in range(self.width) if vec[c]), None)
@@ -62,32 +81,8 @@ class _RowAccumulator:
             if j == len(self.pivots) or self.pivots[j] > lead:
                 self.rows.insert(j, vec)
                 self.pivots.insert(j, lead)
-                if self.track:
-                    self.tags.insert(j, tag)
                 return
-            row = self.rows[j]
-            a, b = row[lead], vec[lead]
-            if b % a == 0:
-                q = b // a
-                for c in range(lead, self.width):
-                    vec[c] -= q * row[c]
-                if self.track:
-                    rtag = self.tags[j]
-                    for c in range(len(tag)):
-                        tag[c] -= q * rtag[c]
-            else:
-                x, y, g = xgcd(a, b)
-                ag, bg = a // g, b // g
-                for c in range(lead, self.width):
-                    ra, rb = row[c], vec[c]
-                    row[c] = x * ra + y * rb
-                    vec[c] = -bg * ra + ag * rb
-                if self.track:
-                    rtag = self.tags[j]
-                    for c in range(len(tag)):
-                        ta, tb = rtag[c], tag[c]
-                        rtag[c] = x * ta + y * tb
-                        tag[c] = -bg * ta + ag * tb
+            _combine(self.rows[j], vec, lead, self.cols)
 
     def normalize(self):
         """Flip pivots positive and reduce entries above each pivot into [0, pivot).
@@ -98,19 +93,14 @@ class _RowAccumulator:
         for i in range(len(self.rows)):
             if self.rows[i][self.pivots[i]] < 0:
                 self.rows[i] = [-v for v in self.rows[i]]
-                if self.track:
-                    self.tags[i] = [-v for v in self.tags[i]]
         for i in range(len(self.rows)):
             p = self.pivots[i]
             pv = self.rows[i][p]
             for k in range(i):
                 q = self.rows[k][p] // pv
                 if q:
-                    for c in range(p, self.width):
+                    for c in range(p, self.cols):
                         self.rows[k][c] -= q * self.rows[i][c]
-                    if self.track:
-                        for c in range(len(self.tags[k])):
-                            self.tags[k][c] -= q * self.tags[i][c]
 
 
 class IntegerLattice:
@@ -143,11 +133,16 @@ class IntegerLattice:
         return f"IntegerLattice(dim={self.ambient_dim}, rank={self.rank})"
 
     def contains(self, vec):
-        """True iff vec is an integer combination of the basis rows."""
+        """True iff vec (integer or rational entries) is an integer
+        combination of the basis rows."""
         return self.reduce(vec) is not None
 
     def reduce(self, vec):
-        """Coordinates of vec in the HNF basis, or None if vec is outside."""
+        """Coordinates of vec in the basis, or None if vec is outside.
+
+        Entries may be Fractions: `%` tests each pivot quotient for
+        integrality, and a fractional entry left over is nonzero.
+        """
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector dim {len(vec)} != ambient {self.ambient_dim}")
@@ -168,13 +163,6 @@ class IntegerLattice:
             return None
         return coords
 
-    def scaled(self, k):
-        """The lattice k * self (k > 0)."""
-        assert k > 0
-        return IntegerLattice(self.ambient_dim,
-                              tuple(tuple(k * v for v in row) for row in self.rows),
-                              self.pivots)
-
 
 def hnf(matrix, ambient_dim=None):
     """Hermite normal form basis of the row space of an integer matrix.
@@ -182,14 +170,12 @@ def hnf(matrix, ambient_dim=None):
     Deterministic: depends only on the row space.  An empty matrix (or one of
     zero rows) yields the empty lattice; ambient_dim is then required.
     """
-    matrix = [list(r) for r in matrix]
+    matrix = list(matrix)
     if ambient_dim is None:
         if not matrix:
             raise ValueError("ambient_dim required for an empty matrix")
         ambient_dim = len(matrix[0])
-    acc = _RowAccumulator(ambient_dim)
-    for row in matrix:
-        acc.add(row)
+    acc = _RowAccumulator(ambient_dim, matrix)
     acc.normalize()
     return IntegerLattice(ambient_dim,
                           tuple(tuple(r) for r in acc.rows),
@@ -202,118 +188,52 @@ def solve_integer_combination(rows, target, width=None):
     The solution is not unique when the rows are dependent; any valid one is
     returned.  Used to present lattice vectors in terms of a generating set.
     """
-    rows = [tuple(r) for r in rows]
+    n = len(rows)
     if width is None:
         width = len(rows[0]) if rows else len(target)
-    acc = _RowAccumulator(width, track=True)
-    n = len(rows)
-    for i, row in enumerate(rows):
-        tag = [0] * n
-        tag[i] = 1
-        acc.add(row, tag)
-    # Reduce the target against the echelon basis, tracking multipliers.
-    vec = list(target)
-    if len(vec) != width:
-        raise DimensionMismatch(f"target dim {len(vec)} != {width}")
-    combo = [0] * n
-    for i, p in enumerate(acc.pivots):
-        if any(vec[c] for c in range(p)):
-            return None
-        if vec[p] == 0:
-            continue
-        if vec[p] % acc.rows[i][p] != 0:
-            return None
-        q = vec[p] // acc.rows[i][p]
-        for c in range(p, width):
-            vec[c] -= q * acc.rows[i][c]
-        for c in range(n):
-            combo[c] += q * acc.tags[i][c]
-    if any(vec):
+    # Each row carries the identity tag of its index; an echelon row's tag
+    # is then the combination of input rows that produced it.
+    tagged = (tuple(row) + (0,) * i + (1,) + (0,) * (n - i - 1)
+              for i, row in enumerate(rows))
+    acc = _RowAccumulator(width, tagged, carried=n)
+    acc.normalize()
+    lat = IntegerLattice(width, tuple(r[:width] for r in acc.rows),
+                         tuple(acc.pivots))
+    coords = lat.reduce(target)
+    if coords is None:
         return None
+    combo = [0] * n
+    for q, r in zip(coords, acc.rows):
+        if q:
+            for c in range(n):
+                combo[c] += q * r[width + c]
     return combo
 
 
 def snf_diagonal(matrix):
     """Diagonal of the Smith normal form: d1 | d2 | ..., zeros trailing.
 
-    Input rows may be ragged-free lists; an empty matrix gives [].
+    Alternates row and column echelon forms until every row has a single
+    nonzero entry, then turns that diagonal into a divisibility chain.  An
+    empty matrix gives [].
     """
     m = [list(r) for r in matrix]
     if not m or not m[0]:
         return []
-    nrows, ncols = len(m), len(m[0])
-    diag = []
-    top = 0
-    while top < min(nrows, ncols):
-        # Find a nonzero entry of minimal absolute value to pivot on.
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = m[i][j]
-                if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    size = min(len(m), len(m[0]))
+    while True:
+        acc = _RowAccumulator(len(m[0]), m)
+        acc.normalize()
+        m = acc.rows
+        if all(sum(1 for v in row if v) == 1 for row in m):
             break
-        i0, j0 = best
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            # Clear the pivot column by gcd steps.
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    a, b = m[top][top], m[i][top]
-                    if b % a == 0:
-                        q = b // a
-                        for c in range(top, ncols):
-                            m[i][c] -= q * m[top][c]
-                    else:
-                        x, y, g = xgcd(a, b)
-                        ag, bg = a // g, b // g
-                        for c in range(top, ncols):
-                            ra, rb = m[top][c], m[i][c]
-                            m[top][c] = x * ra + y * rb
-                            m[i][c] = -bg * ra + ag * rb
-                        dirty = True
-            # Clear the pivot row by gcd steps on columns.
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    a, b = m[top][top], m[top][j]
-                    if b % a == 0:
-                        q = b // a
-                        for r in range(top, nrows):
-                            m[r][j] -= q * m[r][top]
-                    else:
-                        x, y, g = xgcd(a, b)
-                        ag, bg = a // g, b // g
-                        for r in range(top, nrows):
-                            ra, rb = m[r][top], m[r][j]
-                            m[r][top] = x * ra + y * rb
-                            m[r][j] = -bg * ra + ag * rb
-                        dirty = True
-            if dirty:
-                continue
-            if any(m[i][top] for i in range(top + 1, nrows)):
-                continue
-            # Enforce divisibility: fold in any entry the pivot misses.
-            offender = None
-            p = m[top][top]
-            for i in range(top + 1, nrows):
-                for j in range(top + 1, ncols):
-                    if m[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for c in range(top, ncols):
-                m[top][c] += m[offender][c]
-        diag.append(abs(m[top][top]))
-        top += 1
-    diag.extend([0] * (min(nrows, ncols) - len(diag)))
-    return diag
+        m = [list(col) for col in zip(*m)]
+    diag = [row[p] for row, p in zip(m, acc.pivots)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag + [0] * (size - len(diag))
 
 
 def quotient_diagonal(sub_rows, super_rows, width):
@@ -390,14 +310,19 @@ def solve_rational_combination(rows, target):
     return x
 
 
-def reduce_mod_rowspace(vec, rref_rows, pivots):
-    """Canonical representative of vec modulo the row space (given in RREF)."""
-    vec = [Fraction(v) for v in vec]
+def reduce_mod_rowspace(terms, basis, rref_rows, pivots):
+    """Canonical representative of a sparse vector {basis key: coefficient}
+    modulo a row space given in RREF over the coordinates `basis`, returned
+    sparse in the same form."""
+    index = {k: i for i, k in enumerate(basis)}
+    vec = [Fraction(0)] * len(basis)
+    for k, c in terms.items():
+        vec[index[k]] = Fraction(c)
     for row, p in zip(rref_rows, pivots):
         if vec[p]:
             f = vec[p]
             vec = [a - f * b for a, b in zip(vec, row)]
-    return tuple(vec)
+    return {basis[i]: c for i, c in enumerate(vec) if c}
 
 
 # --- GF(2), bit-packed ----------------------------------------------------
@@ -421,13 +346,17 @@ class Mod2Subspace:
     def rank(self):
         return len(self.rows)
 
-    def add(self, vec):
-        """Insert a vector (int bitmask); returns True if the rank grew."""
+    def _reduce(self, vec):
         if vec >> self.ambient_dim:
             raise DimensionMismatch("vector exceeds ambient dimension")
         for row, p in zip(self.rows, self.pivots):
             if (vec >> p) & 1:
                 vec ^= row
+        return vec
+
+    def add(self, vec):
+        """Insert a vector (int bitmask); returns True if the rank grew."""
+        vec = self._reduce(vec)
         if not vec:
             return False
         p = (vec & -vec).bit_length() - 1
@@ -440,12 +369,7 @@ class Mod2Subspace:
         return True
 
     def contains(self, vec):
-        if vec >> self.ambient_dim:
-            raise DimensionMismatch("vector exceeds ambient dimension")
-        for row, p in zip(self.rows, self.pivots):
-            if (vec >> p) & 1:
-                vec ^= row
-        return vec == 0
+        return self._reduce(vec) == 0
 
     def __eq__(self, other):
         return (isinstance(other, Mod2Subspace)
@@ -471,27 +395,19 @@ def gf2_apply(images, vec):
 
 def gf2_kernel(images, ambient_dim, codomain_dim):
     """Kernel of the map basis i -> images[i] as a Mod2Subspace of the domain."""
-    # Row-reduce [image | e_i] pairs; rows with zero image span the kernel.
-    aug = []
+    # Reduce the graph vectors image | e_i << codomain_dim; pivots are lowest
+    # bits, so the RREF rows pivoted in the e_i bits have a zero image part
+    # and span the kernel.
+    graph = Mod2Subspace(codomain_dim + ambient_dim)
     for i in range(ambient_dim):
-        aug.append((images[i], 1 << i))
-    rows = []
-    pivots = []
-    for img, tag in aug:
-        for (rimg, rtag), p in zip(rows, pivots):
-            if p is not None and (img >> p) & 1:
-                img ^= rimg
-                tag ^= rtag
-        if img:
-            rows.append((img, tag))
-            pivots.append((img & -img).bit_length() - 1)
-        else:
-            rows.append((0, tag))
-            pivots.append(None)
+        if images[i] >> codomain_dim:
+            raise DimensionMismatch("image exceeds codomain dimension")
+        graph.add(images[i] | 1 << (codomain_dim + i))
     ker = Mod2Subspace(ambient_dim)
-    for (img, tag), p in zip(rows, pivots):
-        if p is None:
-            ker.add(tag)
+    for row, p in zip(graph.rows, graph.pivots):
+        if p >= codomain_dim:  # RREF rows: reduced against each other already
+            ker.rows.append(row >> codomain_dim)
+            ker.pivots.append(p - codomain_dim)
     return ker
 
 

@@ -44,14 +44,16 @@ def _mobius(n):
 
 def witt_rank(n, d):
     """Rank of the degree-d part of the free Lie ring on n generators."""
-    assert n >= 1 and d >= 1
+    if n < 1 or d < 1:
+        raise ValueError(f"witt_rank needs n >= 1 and d >= 1, got {n}, {d}")
     total = 0
     e = 1
     while e <= d:
         if d % e == 0:
             total += _mobius(e) * n ** (d // e)
         e += 1
-    assert total % d == 0
+    if total % d:
+        raise ValueError(f"necklace count {total} not divisible by {d}")
     return total // d
 
 
@@ -513,9 +515,4 @@ def lbar_reduce(x):
         return x
     assert x.min_degree() == d, "lbar_reduce needs a homogeneous element"
     basis, (reduced, pivots) = _ideal_rowspace(ctx, d)
-    index = {w: i for i, w in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for w, c in x.terms.items():
-        vec[index[w]] = c
-    out = reduce_mod_rowspace(vec, reduced, pivots)
-    return LieElement(ctx, {basis[i]: c for i, c in enumerate(out) if c})
+    return LieElement(ctx, reduce_mod_rowspace(x.terms, basis, reduced, pivots))

@@ -451,10 +451,6 @@ def d_prime_twist(h):
     return h * (2 * h + 1)
 
 
-def d_bar_twist(h, g):
-    return h * (g - h)
-
-
 def casson_values(table, factor):
     """(d, d') of a factor expression, or None where the rules cannot decide.
 

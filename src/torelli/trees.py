@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
 
 from .exact_linalg import (hnf, quotient_diagonal, rref,
                            reduce_mod_rowspace, solve_integer_combination)
@@ -319,12 +318,6 @@ class DerivationElement:
     def __neg__(self):
         return self * -1
 
-    def denominator_lcm(self):
-        q = 1
-        for c in self.terms.values():
-            q = q * c.denominator // gcd(q, c.denominator)
-        return q
-
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
 
@@ -575,22 +568,14 @@ def mod1_class_is_zero(v):
     """Whether a derivation element lies in the integer tree lattice of its
     degree.
 
-    Exact per multidegree component: with q the denominator lcm, tests q*v in
-    q*Lattice.  Returns (verdict, failing multidegrees).
+    Exact per multidegree component: the rational component vector is tested
+    for membership in the integer lattice.  Returns (verdict, failing
+    multidegrees).
     """
-    failing = []
-    for md in v.multidegrees():
-        vec = v.component_vector(md)
-        q = 1
-        for c in vec:
-            q = q * c.denominator // gcd(q, c.denominator)
-        ivec = [int(c * q) for c in vec]
-        lat = tree_lattice(v.genus, v.degree, md)
-        if q > 1:
-            lat = lat.scaled(q)
-        if not lat.contains(ivec):
-            failing.append(md)
-    return (not failing), tuple(failing)
+    failing = tuple(md for md in v.multidegrees()
+                    if not tree_lattice(v.genus, v.degree, md).contains(
+                        v.component_vector(md)))
+    return (not failing), failing
 
 
 def congruent_mod_trees(v, w):
@@ -666,6 +651,9 @@ def lcst_component_diagonal(genus, md):
 
 def all_multidegrees(genus, total):
     """All color-count vectors of the given total over 2g colors."""
+    if genus < 1:
+        raise ValueError(f"genus must be >= 1, got {genus}")
+
     def rec(slots, left):
         if slots == 1:
             yield (left,)
@@ -730,10 +718,5 @@ def odbar_reduce(v):
     """Canonical representative of a derivation element in the closed-surface
     quotient (rational coefficients)."""
     basis, reduced, pivots = odbar_subspace(v.genus, v.degree)
-    index = {k: i for i, k in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for k, c in v.terms.items():
-        vec[index[k]] = c
-    out = reduce_mod_rowspace(vec, reduced, pivots)
     return DerivationElement(v.genus, v.degree,
-                             {basis[i]: c for i, c in enumerate(out) if c})
+                             reduce_mod_rowspace(v.terms, basis, reduced, pivots))

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from torelli import cli
 from torelli.cli import main
 
 
@@ -153,6 +157,35 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "lower-bounds", "--max-genus", "3")
     assert code == 1
     assert out.count("FAIL") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ranks", "--genus", "0"],
+    ["ranks", "--genus", "-2"],
+    ["verify", "lcst", "--genus", "0"],
+    ["verify", "lower-bounds", "--max-genus", "1"],
+    ["verify", "lower-bounds", "--max-genus", "-1"],
+])
+def test_out_of_range_genus_exit3(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-m", "torelli.cli", *argv],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert "capability error" in run.stderr
+
+
+def test_sp_kernel_limit_refused_before_work(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("sp-kernel started work above its genus limit")
+    monkeypatch.setattr(cli, "verify_kernel_lemma", work)
+    monkeypatch.setattr(cli, "verify_ses", work)
+    code, out, err = run(capsys, "verify", "sp-kernel", "--genus",
+                         str(cli._SP_KERNEL_MAX_GENUS + 1))
+    assert code == 3 and out == ""
+    assert f"up to genus {cli._SP_KERNEL_MAX_GENUS}" in err
 
 
 def test_determinism(capsys):

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torelli.exact_linalg import (DimensionMismatch, Mod2Subspace, gf2_apply,
-                                  gf2_kernel, gf2_span_closure, hnf,
+from torelli.exact_linalg import (DimensionMismatch, IntegerLattice,
+                                  Mod2Subspace, gf2_apply, gf2_kernel, gf2_span_closure, hnf,
                                   quotient_diagonal, rational_rank, rref,
                                   snf_diagonal, solve_integer_combination,
                                   solve_rational_combination)
@@ -52,6 +53,17 @@ def test_hnf_has_hnf_shape(matrix):
             assert 0 <= lat.rows[k][p] < lat.rows[i][p]
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_matrices)
+def test_hnf_against_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+    # sympy's form is column-style: its columns span the rows of matrix.
+    h = hermite_normal_form(sympy.Matrix(matrix).T)
+    columns = [[int(v) for v in h.col(j)] for j in range(h.cols)]
+    assert hnf(matrix, ambient_dim=3) == hnf(columns, ambient_dim=3)
+
+
 def test_membership_examples():
     lat = hnf([[1, 1], [0, 2]])
     assert lat.contains([1, 1])
@@ -86,6 +98,37 @@ def test_membership_against_brute_force():
                     if all(sum(c * r[j] for c, r in zip(cs, lat.rows)) == probe[j]
                            for j in range(4))]
             assert not hits
+
+
+def _cleared_membership(lat, vec):
+    """Membership of a rational vector by clearing denominators: q*vec in
+    the lattice q*lat."""
+    q = 1
+    for c in vec:
+        q = q * c.denominator // gcd(q, c.denominator)
+    scaled = IntegerLattice(lat.ambient_dim,
+                            tuple(tuple(q * v for v in row) for row in lat.rows),
+                            lat.pivots)
+    return scaled.contains([int(c * q) for c in vec])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices,
+       st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+       st.integers(1, 6),
+       st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3))
+def test_rational_membership_matches_cleared_denominators(matrix, coeffs,
+                                                          den, probe):
+    lat = hnf(matrix, ambient_dim=3)
+    combo = [Fraction(sum(c * r[j] for c, r in zip(coeffs, matrix)), den)
+             for j in range(3)]
+    for vec in (combo, probe):
+        assert lat.contains(vec) == _cleared_membership(lat, vec)
+        coords = lat.reduce(vec)
+        if coords is not None:
+            assert all(type(c) is int for c in coords)
+            assert [sum(c * r[j] for c, r in zip(coords, lat.rows))
+                    for j in range(3)] == vec
 
 
 def test_snf_examples():
@@ -138,6 +181,34 @@ def test_solve_integer_combination():
 
 def test_solve_integer_combination_no_solution():
     assert solve_integer_combination([[2, 0], [0, 2]], [1, 0]) is None
+
+
+def test_solve_integer_combination_dependent_and_non_square():
+    # rank 1 in Z^2 from three rows, and one row in Z^3
+    rows = [[2, 4], [1, 2], [3, 6]]
+    x = solve_integer_combination(rows, [5, 10])
+    assert [sum(c * r[j] for c, r in zip(x, rows)) for j in range(2)] == [5, 10]
+    assert solve_integer_combination(rows, [1, 3]) is None
+    assert solve_integer_combination([[1, 2, 3]], [2, 4, 6]) == [2]
+    assert solve_integer_combination([[1, 2, 3]], [1, 2, 4]) is None
+    rng = random.Random(1729)
+    for _ in range(200):
+        n_rows, width = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(width)]
+                for _ in range(n_rows)]
+        rows.append([2 * a - 3 * b for a, b in zip(rows[0], rows[-1])])
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        member = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                  for j in range(width)]
+        probe = [rng.randint(-4, 4) for _ in range(width)]
+        lat = hnf(rows)
+        for target in (member, probe):
+            x = solve_integer_combination(rows, target)
+            assert (x is not None) == lat.contains(target)
+            if x is not None:
+                assert len(x) == len(rows)
+                assert [sum(c * r[j] for c, r in zip(x, rows))
+                        for j in range(width)] == target
 
 
 def test_rational_solve():
@@ -214,6 +285,7 @@ def test_gf2_kernel():
             assert gf2_apply(images, row) == 0
         image_rank = Mod2Subspace(cod, images).rank
         assert ker.rank == dim - image_rank
+        assert ker == Mod2Subspace(dim, ker.rows)  # canonical RREF
 
 
 def test_gf2_reduce_and_membership():

@@ -49,6 +49,9 @@ def test_witt_examples():
     assert witt_rank(2, 1) == 2
     assert witt_rank(3, 3) == 8
     assert witt_rank(6, 5) == 1554
+    for n, d in ((0, 3), (2, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            witt_rank(n, d)
 
 
 def test_bracket_generators():
