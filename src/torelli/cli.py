@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success/pass, 1 verification mismatch, 2 malformed input,
-3 capability/precondition errors (degree caps, genus out of range).
+3 capability/precondition errors (degree caps, genus out of range, a
+degree never computed).
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .words import (EXPANSION_MAX_DEGREE, WordParseError, get_table,
                     parse_word, symplectic_check, theta)
 
 PASS, MISMATCH, INPUT_ERROR, CAPABILITY_ERROR = 0, 1, 2, 3
+# Deepest factor nesting of a spec, far beyond any real product of twists;
+# it keeps parsing and evaluation well inside Python's recursion limit.
+_SPEC_MAX_DEPTH = 100
 # Largest genus of verify sp-kernel: L_3 has rank 1360 at genus 8, and the
 # orbit closure grows faster than that rank.
 _SP_KERNEL_MAX_GENUS = 8
@@ -81,38 +85,65 @@ def cmd_ranks(args, out):
     return PASS
 
 
-def _word(body, key):
-    text = body[key]
+def _field(body, key, path):
+    if key not in body:
+        raise ValueError(f"{path}.{key}: missing")
+    return body[key]
+
+
+def _word(body, key, path):
+    text = _field(body, key, path)
     if not isinstance(text, str):
-        raise ValueError(f"{key!r} must be a word string: {text!r}")
-    return parse_word(text)
+        raise ValueError(f"{path}.{key}: must be a word string: {text!r}")
+    try:
+        return parse_word(text)
+    except WordParseError as exc:
+        raise ValueError(f"{path}.{key}: {exc}") from exc
 
 
-def _parse_factor(obj):
+# kind -> (class, word fields) of the factors that take a power
+_POWERED = {"twist": (SeparatingTwist, ("lift",)),
+            "bp": (BoundingPairMap, ("gamma", "c"))}
+
+
+def _parse_factor(obj, path="$", depth=0):
+    """The factor of a JSON spec; every error names the JSON path of the
+    offending field, e.g. $.commutator[0].twist.power."""
+    if depth > _SPEC_MAX_DEPTH:
+        raise ValueError(f"spec nested too deeply (over {_SPEC_MAX_DEPTH} "
+                         "levels)")
     if isinstance(obj, list):
-        return Product([_parse_factor(f) for f in obj])
+        return Product([_parse_factor(f, f"{path}[{i}]", depth + 1)
+                        for i, f in enumerate(obj)])
     if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValueError(f"bad factor object: {obj!r}")
+        raise ValueError(f"{path}: bad factor object: {obj!r}")
     kind, body = next(iter(obj.items()))
+    path = f"{path}.{kind}"
     if kind in ("twist", "bp", "conjugate") and not isinstance(body, dict):
-        raise ValueError(f"the body of {kind!r} must be an object: {body!r}")
+        raise ValueError(f"{path}: the body must be an object: {body!r}")
     if kind in ("product", "commutator") and not isinstance(body, list):
-        raise ValueError(f"the body of {kind!r} must be an array: {body!r}")
-    if kind == "twist":
-        return SeparatingTwist(_word(body, "lift"), body.get("power", 1))
-    if kind == "bp":
-        return BoundingPairMap(_word(body, "gamma"), _word(body, "c"),
-                               body.get("power", 1))
+        raise ValueError(f"{path}: the body must be an array: {body!r}")
+    if kind in _POWERED:
+        cls, keys = _POWERED[kind]
+        words = [_word(body, key, path) for key in keys]
+        try:
+            return cls(*words, body.get("power", 1))
+        except ValueError as exc:
+            raise ValueError(f"{path}.power: {exc}") from exc
     if kind == "product":
-        return Product([_parse_factor(f) for f in body])
+        return _parse_factor(body, path, depth)
     if kind == "commutator":
-        left, right = body
-        return Commutator(_parse_factor(left), _parse_factor(right))
+        if len(body) != 2:
+            raise ValueError(f"{path}: a commutator takes two factors, "
+                             f"got {len(body)}")
+        return Commutator(*_parse_factor(body, path, depth).factors)
     if kind == "conjugate":
-        return Conjugate(_parse_factor(body["by"]), _parse_factor(body["arg"]))
+        return Conjugate(
+            *(_parse_factor(_field(body, key, path), f"{path}.{key}", depth + 1)
+              for key in ("by", "arg")))
     if kind == "inverse":
-        return Inverse(_parse_factor(body))
-    raise ValueError(f"unknown factor kind {kind!r}")
+        return Inverse(_parse_factor(body, path, depth + 1))
+    raise ValueError(f"{path}: unknown factor kind {kind!r}")
 
 
 def _load_spec(arg):
@@ -133,6 +164,8 @@ def _load_spec(arg):
         return _parse_factor(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON spec: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("spec nested too deeply") from exc
 
 
 def _value_report(value):
@@ -339,10 +372,10 @@ def main(argv=None):
     except WordParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except DegreeCapError as exc:
+    except (DegreeCapError, WindowUnderflow) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return CAPABILITY_ERROR
-    except (WindowUnderflow, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     out.close()

@@ -223,15 +223,9 @@ class LieContext:
             return {(tree,): 1}
         left = self._expand_tree(tree[0])
         right = self._expand_tree(tree[1])
-        out = {}
-        for w1, c1 in left.items():
-            for w2, c2 in right.items():
-                for w, s in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2)):
-                    v = out.get(w, 0) + s
-                    if v:
-                        out[w] = v
-                    else:
-                        del out[w]
+        n = tree_size(tree)
+        out = t_mul(left, right, n)
+        t_add_into(out, t_mul(right, left, n), -1)
         return out
 
     # -- conversions --
@@ -326,7 +320,47 @@ def get_context(genus, max_degree):
     return LieContext(genus, max_degree)
 
 
-class LieElement:
+class SparseCombination:
+    """A sparse rational combination: `terms` maps keys to nonzero
+    coefficients.  A subclass is built as `Cls(*self._space(), terms)`;
+    `_space()` fixes its vector space, and only equal spaces combine."""
+
+    __slots__ = ()
+
+    def _like(self, terms):
+        return type(self)(*self._space(), terms)
+
+    def _check(self, other):
+        if self._space() != other._space():
+            raise ContextMismatch(f"{type(self).__name__} spaces differ: "
+                                  f"{self._space()} vs {other._space()}")
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        t_add_into(out, other.terms)
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        t_add_into(out, other.terms, -1)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        c = Fraction(scalar)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+
+class LieElement(SparseCombination):
     """Sparse exact-rational combination of Lyndon basis monomials."""
 
     __slots__ = ("ctx", "terms")
@@ -335,9 +369,8 @@ class LieElement:
         self.ctx = ctx
         self.terms = terms
 
-    def _check(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
+    def _space(self):
+        return (self.ctx,)
 
     def __eq__(self, other):
         if not isinstance(other, LieElement):
@@ -348,32 +381,6 @@ class LieElement:
     def __hash__(self):
         return hash((self.ctx, frozenset(self.terms.items())))
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        t_add_into(out, other.terms)
-        return LieElement(self.ctx, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        t_add_into(out, other.terms, -1)
-        return LieElement(self.ctx, out)
-
-    def __neg__(self):
-        return LieElement(self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        if not c:
-            return self.ctx.zero()
-        return LieElement(self.ctx, {w: c * v for w, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def min_degree(self):
         return min((len(w) for w in self.terms), default=0)
 
@@ -381,12 +388,10 @@ class LieElement:
         return max((len(w) for w in self.terms), default=0)
 
     def degree_part(self, d):
-        return LieElement(self.ctx,
-                          {w: c for w, c in self.terms.items() if len(w) == d})
+        return self._like({w: c for w, c in self.terms.items() if len(w) == d})
 
     def truncated(self, d):
-        return LieElement(self.ctx,
-                          {w: c for w, c in self.terms.items() if len(w) <= d})
+        return self._like({w: c for w, c in self.terms.items() if len(w) <= d})
 
     def bracket(self, other):
         """[self, other] in the Lyndon basis, degrees above the class dropped."""
@@ -415,7 +420,7 @@ class LieElement:
         self._check(other)
         cap = self.ctx.max_degree
         prod = t_mul(t_exp(self.to_tensor(), cap), t_exp(other.to_tensor(), cap), cap)
-        return LieElement(self.ctx, self.ctx.decompose(t_log(prod, cap)))
+        return self._like(self.ctx.decompose(t_log(prod, cap)))
 
     def rooted_terms(self):
         """The element as a list of (coefficient, bracketing tree) pairs.
@@ -515,4 +520,4 @@ def lbar_reduce(x):
         return x
     assert x.min_degree() == d, "lbar_reduce needs a homogeneous element"
     basis, (reduced, pivots) = _ideal_rowspace(ctx, d)
-    return LieElement(ctx, reduce_mod_rowspace(x.terms, basis, reduced, pivots))
+    return x._like(reduce_mod_rowspace(x.terms, basis, reduced, pivots))

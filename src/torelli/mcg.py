@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact_linalg import rational_rank, solve_rational_combination
-from .lie import get_context, standard_bracketing
+from .lie import DegreeCapError, get_context, standard_bracketing, t_add_into
 from .sp_mod2 import tree_mod2_bits
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees,
                     diagram_rows, join, mod1_class_is_zero, omega_pairing,
@@ -255,9 +255,17 @@ class Inverse:
         self.arg = arg
 
 
+def _require_degree2(table, what):
+    """Refuse a table below degree 2, which misses the leading part."""
+    if table.ctx.max_degree < 2:
+        raise DegreeCapError(f"the value of a {what} needs an expansion of "
+                             f"degree >= 2, got {table.ctx.max_degree}")
+
+
 def twist_value(table, twist):
     """Value of a separating twist power: half the self-join of theta(lift),
     times the power."""
+    _require_degree2(table, "separating twist")
     th = theta(twist.lift, table)
     if not th.degree_part(1).is_zero():
         raise NotInFiltration(
@@ -284,6 +292,7 @@ def bounding_pair_value(table, bp):
       degree 1: -[gamma] -- [c]
       degree 2: -1/2 [c] -- [c]  -  theta_2(gamma) -- [c]  -  [gamma] -- theta_3(c)
     """
+    _require_degree2(table, "bounding pair")
     th_g = theta(bp.gamma, table)
     th_c = theta(bp.c, table)
     if not th_c.degree_part(1).is_zero():
@@ -347,7 +356,7 @@ def _require_vanishing(value, degrees, claim):
 
 
 def _eta_or_zero(ts, genus, degree):
-    return ts.eta() if ts.terms else DerivationElement.zero(genus, degree)
+    return ts.eta() if ts.terms else DerivationElement(genus, degree)
 
 
 def tau(value, k):
@@ -538,13 +547,7 @@ def tr3(ts):
                             (omega_pairing(genus, a, d), (e, cc, b)),
                             (omega_pairing(genus, d, b), (a, cc, e)),
                             (omega_pairing(genus, b, e), (d, cc, a))):
-                if w:
-                    key = tuple(sorted(mono))
-                    v = out.get(key, 0) + 2 * w * coeff
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
+                t_add_into(out, {tuple(sorted(mono)): 2 * w}, coeff)
     return out
 
 

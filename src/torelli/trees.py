@@ -21,7 +21,8 @@ from itertools import permutations
 
 from .exact_linalg import (hnf, quotient_diagonal, rref,
                            reduce_mod_rowspace, solve_integer_combination)
-from .lie import LieElement, get_context, ideal_omega_component, tree_size
+from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
+                  get_context, ideal_omega_component, t_add_into, tree_size)
 from .sp_mod2 import tree_mod2_bits
 
 
@@ -41,6 +42,12 @@ def omega_pairing(genus, x, y):
     if x == y + genus:
         return -1
     return 0
+
+
+def _omega_dual(genus, z):
+    """The one letter h with omega(h, z) != 0, and omega(h, z):
+    (b_i, -1) for z = a_i and (a_i, 1) for z = b_i."""
+    return (z + genus, -1) if z <= genus else (z - genus, 1)
 
 
 def ell_pairing(genus, x, y):
@@ -89,8 +96,13 @@ def join_leaf_decompositions(u, v):
     return _leaf_decompositions(u, v) + _leaf_decompositions(v, u)
 
 
-class TreeSum:
-    """Formal rational combination of joined trees at a fixed genus."""
+class TreeSum(SparseCombination):
+    """Formal rational combination of joined trees at a fixed genus.
+
+    Every key is a canonical join (u, v) as made by add_join: both trees in
+    sorted-children form and u <= v, so equal joins always share one key and
+    sums merge keys directly.
+    """
 
     __slots__ = ("genus", "terms")
 
@@ -98,9 +110,8 @@ class TreeSum:
         self.genus = genus
         self.terms = terms if terms is not None else {}
 
-    def _check(self, other):
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
+    def _space(self):
+        return (self.genus,)
 
     @staticmethod
     def single(genus, u, v):
@@ -126,44 +137,20 @@ class TreeSum:
         else:
             self.terms.pop(key, None)
 
-    def __add__(self, other):
-        self._check(other)
-        out = TreeSum(self.genus, dict(self.terms))
-        for (u, v), c in other.terms.items():
-            out.add_join(u, v, c)
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        if not c:
-            return TreeSum(self.genus)
-        return TreeSum(self.genus, {k: c * v for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
     def degrees(self):
         return sorted({tree_size(u) + tree_size(v) - 2
                        for (u, v) in self.terms})
 
     def degree_part(self, d):
-        out = TreeSum(self.genus)
-        for (u, v), c in self.terms.items():
-            if tree_size(u) + tree_size(v) - 2 == d:
-                out.terms[(u, v)] = c
-        return out
+        return self._like({(u, v): c for (u, v), c in self.terms.items()
+                           if tree_size(u) + tree_size(v) - 2 == d})
 
     def eta(self):
         """Image in H tensor L as a DerivationElement (homogeneous input)."""
         ds = self.degrees()
         if not ds:
             raise ValueError("eta of the symbolic zero needs a degree; "
-                             "use eta_graded or DerivationElement.zero")
+                             "use eta_graded or DerivationElement(genus, degree)")
         if len(ds) > 1:
             raise ValueError(f"mixed degrees {ds}; use eta_graded")
         return self.eta_graded()[ds[0]]
@@ -177,17 +164,14 @@ class TreeSum:
             if d == 0:
                 raise ValueError("degree-0 join has no derivation image")
             ctx = get_context(g, d + 1)
-            acc = per.setdefault(d, {})
+            by_color = per.setdefault(d, {})
             for color, tree in join_leaf_decompositions(u, v):
-                lie = ctx.from_tree(tree)
-                for w, cw in lie.terms.items():
-                    key = (color, w)
-                    val = acc.get(key, 0) + c * cw
-                    if val:
-                        acc[key] = val
-                    else:
-                        del acc[key]
-        return {d: DerivationElement(g, d, acc) for d, acc in per.items()}
+                t_add_into(by_color.setdefault(color, {}),
+                           ctx.from_tree(tree).terms, c)
+        return {d: DerivationElement(g, d, {(h, w): x
+                                            for h, part in by_color.items()
+                                            for w, x in part.items()})
+                for d, by_color in per.items()}
 
     def _pairing_product(self, other, pairing):
         self._check(other)
@@ -217,9 +201,7 @@ class TreeSum:
 
     def equals(self, other):
         """Canonical equality, i.e. equality of eta images degreewise."""
-        self._check(other)
-        diff = self - other
-        return all(dv.is_zero() for dv in diff.eta_graded().values())
+        return all(dv.is_zero() for dv in (self - other).eta_graded().values())
 
     def to_json(self):
         g = self.genus
@@ -258,7 +240,7 @@ def join(x, y, allow_degree0=False):
     return out
 
 
-class DerivationElement:
+class DerivationElement(SparseCombination):
     """Element of H tensor L_{degree+1}: sparse map (letter, word) -> Fraction.
 
     Under h |-> omega(h, -) this is the derivation z |-> sum omega(h, z) * w.
@@ -271,16 +253,8 @@ class DerivationElement:
         self.degree = degree
         self.terms = terms if terms is not None else {}
 
-    @staticmethod
-    def zero(genus, degree):
-        return DerivationElement(genus, degree)
-
-    def _check(self, other):
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-
-    def is_zero(self):
-        return not self.terms
+    def _space(self):
+        return (self.genus, self.degree)
 
     def __eq__(self, other):
         if not isinstance(other, DerivationElement):
@@ -291,49 +265,15 @@ class DerivationElement:
     def __hash__(self):
         return hash((self.genus, self.degree, frozenset(self.terms.items())))
 
-    def __add__(self, other):
-        self._check(other)
-        assert self.degree == other.degree
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return DerivationElement(self.genus, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        c = Fraction(scalar)
-        if not c:
-            return DerivationElement(self.genus, self.degree)
-        return DerivationElement(self.genus, self.degree,
-                                 {k: c * v for k, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
 
     def value_on_letter(self, z):
         """The derivation applied to a generator, as a Lie element."""
         ctx = get_context(self.genus, self.degree + 1)
-        acc = {}
-        for (h, w), c in self.terms.items():
-            s = omega_pairing(self.genus, h, z)
-            if s:
-                v = acc.get(w, 0) + c * s
-                if v:
-                    acc[w] = v
-                else:
-                    del acc[w]
-        return LieElement(ctx, acc)
+        h, s = _omega_dual(self.genus, z)
+        return LieElement(ctx, {w: s * c for (k, w), c in self.terms.items()
+                                if k == h})
 
     def apply(self, x):
         """Apply the derivation to a Lie element (Leibniz over bracketing trees)."""
@@ -349,11 +289,14 @@ class DerivationElement:
         return dl.bracket(right) + left.bracket(dr)
 
     def bracket(self, other):
-        """Commutator of the associated derivations, back in H tensor L form."""
-        self._check(other)
+        """Commutator of the associated derivations, back in H tensor L form.
+
+        The degrees may differ; only the genus must agree."""
         g = self.genus
+        if other.genus != g:
+            raise ContextMismatch(f"genus {g} vs {other.genus}")
         k = self.degree + other.degree
-        if k + 1 > 5:
+        if k + 1 > MAX_CLASS:
             raise ValueError(
                 f"derivation commutator of degrees {self.degree} and "
                 f"{other.degree} lands beyond the supported class")
@@ -364,18 +307,8 @@ class DerivationElement:
                    - other.apply_in(ctx, self.value_on_letter(z)))
             if val.is_zero():
                 continue
-            # z = a_i contributes -b_i tensor val; z = b_i contributes a_i tensor val
-            if z <= g:
-                h, sign = g + z, -1
-            else:
-                h, sign = z - g, 1
-            for w, c in val.terms.items():
-                key = (h, w)
-                v = terms.get(key, 0) + sign * c
-                if v:
-                    terms[key] = v
-                else:
-                    del terms[key]
+            h, sign = _omega_dual(g, z)
+            t_add_into(terms, _tensor_letter(h, val), sign)
         return DerivationElement(g, k, terms)
 
     def apply_in(self, ctx, x):
@@ -383,21 +316,21 @@ class DerivationElement:
         lifted = lie_lift(ctx, x)
         values = {z: lie_lift(ctx, self.value_on_letter(z))
                   for z in range(1, 2 * self.genus + 1)}
-        out = ctx.zero()
+        out = {}
         for c, tree in lifted.rooted_terms():
-            out = out + self._apply_tree(ctx, values, tree) * c
-        return out
+            t_add_into(out, self._apply_tree(ctx, values, tree).terms, c)
+        return LieElement(ctx, out)
 
     def bracket_map_image(self):
         """Image under H tensor L_{k+1} -> L_{k+2}; zero iff symplectic."""
         ctx = get_context(self.genus, self.degree + 2)
-        out = ctx.zero()
+        out = {}
         for (h, w), c in self.terms.items():
-            out = out + ctx.generator(h).bracket(ctx.monomial(w)) * c
-        return out
+            t_add_into(out, ctx.generator(h).bracket(ctx.monomial(w)).terms, c)
+        return LieElement(ctx, out)
 
     def is_symplectic(self):
-        if self.degree + 2 > 5:
+        if self.degree + 2 > MAX_CLASS:
             raise ValueError("bracket-map check unavailable beyond degree 3; "
                              "use the degree-4 lattice membership instead")
         return self.bracket_map_image().is_zero()
@@ -406,10 +339,8 @@ class DerivationElement:
         return sorted({_term_multidegree(self.genus, k) for k in self.terms})
 
     def component(self, md):
-        return DerivationElement(
-            self.genus, self.degree,
-            {k: c for k, c in self.terms.items()
-             if _term_multidegree(self.genus, k) == md})
+        return self._like({k: c for k, c in self.terms.items()
+                           if _term_multidegree(self.genus, k) == md})
 
     def component_vector(self, md):
         basis = component_basis(self.genus, self.degree, md)
@@ -431,6 +362,11 @@ class DerivationElement:
 
     def __repr__(self):
         return f"<Derivation g={self.genus} deg={self.degree} {len(self.terms)} terms>"
+
+
+def _tensor_letter(h, x):
+    """The terms of h tensor x for a letter h and a Lie element x."""
+    return {(h, w): c for w, c in x.terms.items()}
 
 
 def _term_multidegree(genus, key):
@@ -694,21 +630,15 @@ def odbar_subspace(genus, degree):
 
     for h in range(1, 2 * genus + 1):
         for x in ideal_omega_component(ctx, d + 1):
-            add_elt({(h, w): c for w, c in x.terms.items()})
+            add_elt(_tensor_letter(h, x))
     ctx_low = get_context(genus, d)
     for w in ctx_low.lyndon_basis(d):
         y = ctx.monomial(w)
         terms = {}
         for i in range(1, genus + 1):
             ai, bi = ctx.generator(i), ctx.generator(genus + i)
-            for h, val in ((i, bi.bracket(y)), (genus + i, ai.bracket(y) * -1)):
-                for ww, c in val.terms.items():
-                    key = (h, ww)
-                    vv = terms.get(key, 0) + c
-                    if vv:
-                        terms[key] = vv
-                    else:
-                        del terms[key]
+            t_add_into(terms, _tensor_letter(i, bi.bracket(y)))
+            t_add_into(terms, _tensor_letter(genus + i, ai.bracket(y)), -1)
         add_elt(terms)
     reduced, pivots = rref(rows)
     return basis, reduced, pivots
@@ -718,5 +648,4 @@ def odbar_reduce(v):
     """Canonical representative of a derivation element in the closed-surface
     quotient (rational coefficients)."""
     basis, reduced, pivots = odbar_subspace(v.genus, v.degree)
-    return DerivationElement(v.genus, v.degree,
-                             reduce_mod_rowspace(v.terms, basis, reduced, pivots))
+    return v._like(reduce_mod_rowspace(v.terms, basis, reduced, pivots))

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from conftest import SEED
 from torelli import cli
 from torelli.cli import main
 
@@ -136,18 +141,75 @@ def test_compose_bad_json_exit2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("spec", [
-    {"twist": {"lift": "a1+b1+a1-b1-", "power": 2.5}},
-    {"twist": {"lift": "a1+b1+a1-b1-", "power": "2"}},
-    {"twist": {"lift": "a1+b1+a1-b1-", "power": True}},
-    {"twist": "a1+"},
-    {"twist": {"lift": 5}},
-    {"commutator": 5},
-])
-def test_compose_bad_factor_exit2(capsys, spec):
+_TWIST = {"twist": {"lift": "a1+b1+a1-b1-"}}
+_BAD_FACTORS = [
+    ({"twist": {"lift": "a1+b1+a1-b1-", "power": 2.5}}, "$.twist.power"),
+    ({"twist": {"lift": "a1+b1+a1-b1-", "power": "2"}}, "$.twist.power"),
+    ({"twist": {"lift": "a1+b1+a1-b1-", "power": True}}, "$.twist.power"),
+    ({"twist": "a1+"}, "$.twist"),
+    ({"twist": {"lift": 5}}, "$.twist.lift"),
+    ({"commutator": 5}, "$.commutator"),
+    ({"commutator": [{"twist": {"lift": "a1+b1+a1-b1-", "power": 0.5}},
+                     _TWIST]}, "$.commutator[0].twist.power"),
+    ([_TWIST, {"inverse": {"conjugate": {"by": _TWIST}}}],
+     "$[1].inverse.conjugate.arg"),
+]
+
+
+@pytest.mark.parametrize("spec, path", _BAD_FACTORS,
+                         ids=[f"spec{i}" for i in range(len(_BAD_FACTORS))])
+def test_compose_bad_factor_exit2(capsys, spec, path):
     code, _, err = run(capsys, "compose", json.dumps(spec))
     assert code == 2
-    assert err.startswith("input error")
+    assert err.startswith(f"input error: {path}: ")
+
+
+def _cli_subprocess(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "torelli.cli", *argv],
+                          env={"PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("spec", [
+    "[" * 3000 + "]" * 3000,
+    '{"inverse": ' * 1000 + json.dumps(_TWIST) + "}" * 1000,
+    '{"inverse": ' * 150 + json.dumps(_TWIST) + "}" * 150,
+], ids=["brackets", "inverse-chain", "past-the-limit"])
+def test_deeply_nested_spec_exit2(spec):
+    run = _cli_subprocess("compose", spec)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert "spec nested too deeply" in run.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    "a1+b1+a1-b1-",
+    json.dumps({"bp": {"gamma": "a1+", "c": "b2+a2+b2-a2-"}}),
+], ids=["twist", "bounding-pair"])
+def test_compose_below_degree2_exit3(capsys, spec):
+    # a degree-1 table never computes theta_2, which the leading part needs
+    code, out, err = run(capsys, "compose", spec, "--degree", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("capability error")
+
+
+def test_compose_power0_twist_at_degree2(capsys):
+    spec = json.dumps({"twist": {"lift": "a1+b1+a1-b1-", "power": 0}})
+    code, out, _ = run(capsys, "compose", spec, "--degree", "2")
+    assert code == 0
+    assert "degrees 5..4" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem-b", "--degree", "2"],
+    ["R", "a1+b1+a1-b1-", "--degree", "3"],
+])
+def test_uncomputed_degree_exit3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "degree-4 part was never computed" in err
 
 
 def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
@@ -167,10 +229,7 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "lower-bounds", "--max-genus", "-1"],
 ])
 def test_out_of_range_genus_exit3(argv):
-    src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-m", "torelli.cli", *argv],
-                         env={"PYTHONPATH": str(src)}, capture_output=True,
-                         text=True, timeout=120)
+    run = _cli_subprocess(*argv)
     assert run.returncode == 3, run.stderr
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
@@ -200,3 +259,93 @@ def test_theta_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "theta", "-", "--genus", "3", "--degree", "3")
     assert code == 0
     assert out.strip() == "a1+(-1/2)*[a1,b1]+(1/12)*[[a1,b1],b1]"
+
+
+# --- fuzzing of the two input grammars --------------------------------------
+
+def _main_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+_word_text = st.one_of(
+    st.lists(st.sampled_from(["a1+", "a1-", "b1+", "b1-", "a2+", "a2-", "b2+",
+                              "b2-", "a3+", "c1+", "a1", "+", " "]),
+             max_size=10).map("".join),
+    st.text(max_size=20))
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(_word_text.filter(lambda t: t != "-"))
+def test_fuzz_theta_words(text):
+    # "--" keeps a word that starts with "-" from being read as an option
+    assert _main_code(["theta", "--genus", "2", "--degree", "2", "--", text]) \
+        in (0, 2, 3)
+
+
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                  st.text(max_size=4), st.just([]), st.just({}))
+_lifts = st.sampled_from(["a1+b1+a1-b1-", "a2+b2+a2-b2-", "b2+a2+b2-a2-",
+                          "a1+b1+a1-b1-a2+b2+a2-b2-"])
+_spec_words = st.one_of(_lifts, st.sampled_from(["a1+", "b2-", "", "a3+",
+                                                 "a1+ x"]), _junk)
+_powers = st.one_of(st.integers(-2, 2), _junk)
+
+
+def _kind(name, body):
+    return body.map(lambda b: {name: b})
+
+
+def _mostly(good, bad):
+    """good four times in five: deep specs are evaluated, not only parsed."""
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 0 else good)
+
+
+_good_leaves = st.one_of(
+    _kind("twist", st.fixed_dictionaries({"lift": _lifts},
+                                         optional={"power": st.integers(-2, 2)})),
+    _kind("bp", st.fixed_dictionaries({"gamma": _spec_words, "c": _lifts})))
+_bad_leaves = st.one_of(
+    _kind("twist", st.fixed_dictionaries(
+        {}, optional={"lift": _spec_words, "power": _powers})),
+    _kind("bp", st.fixed_dictionaries(
+        {}, optional={"gamma": _spec_words, "c": _spec_words,
+                      "power": _powers})),
+    st.builds(lambda kind, body: {kind: body},
+              st.sampled_from(["twist", "bp", "conjugate", "product",
+                               "commutator", "inverse", "bogus"]), _junk),
+    _junk)
+
+
+def _nest(sub):
+    good = st.one_of(
+        st.lists(sub, min_size=1, max_size=3),
+        _kind("product", st.lists(sub, min_size=1, max_size=3)),
+        _kind("commutator", st.lists(sub, min_size=2, max_size=2)),
+        _kind("conjugate", st.fixed_dictionaries({"by": sub, "arg": sub})),
+        _kind("inverse", sub))
+    bad = st.one_of(
+        _kind("product", st.just([])),
+        _kind("commutator", st.lists(sub, max_size=3)),
+        _kind("conjugate", st.fixed_dictionaries(
+            {}, optional={"by": sub, "arg": sub})),
+        st.dictionaries(st.sampled_from(["twist", "inverse", "x"]), sub,
+                        max_size=2))
+    return _mostly(good, bad)
+
+
+# A spec: a JSON array or object, built from the spec grammar with some
+# junk values: wrong types, missing keys, bad words, floats, bools, empty lists.
+_specs = st.recursive(_mostly(_good_leaves, _bad_leaves),
+                      _nest, max_leaves=6).filter(
+    lambda spec: isinstance(spec, (list, dict)))
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(_specs)
+def test_fuzz_compose_specs(spec):
+    assert _main_code(["compose", "--genus", "2", "--degree", "2",
+                       json.dumps(spec)]) in (0, 2, 3)

@@ -1,12 +1,17 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import SEED, independent_eta, rand_homogeneous, rand_tree_sum
 from torelli.exact_linalg import hnf, rational_rank
-from torelli.lie import get_context, witt_rank
+from torelli.lie import ContextMismatch, get_context, witt_rank
 from torelli.sp_mod2 import tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, basis_colored_trees,
                            canonical_tree, component_basis,
@@ -399,3 +404,66 @@ def test_eta_images_annihilate_omega(rng):
         dv = ts.eta()
         ctx = get_context(genus, dv.degree + 2)
         assert dv.apply_in(ctx, ctx.omega()).is_zero()
+
+
+# --- the shared linear operations -----------------------------------------
+
+def test_derivation_sum_needs_equal_degree_and_genus():
+    a = DerivationElement(2, 1, {(1, (1, 3)): Fraction(1)})
+    b = DerivationElement(2, 2, {(1, (1, 1, 3)): Fraction(1)})
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ContextMismatch):
+            op(a, b)
+        with pytest.raises(ContextMismatch):
+            op(a, DerivationElement(3, 1, dict(a.terms)))
+    assert (a - a).terms == {} and (a + a).terms == (a * 2).terms
+
+
+def test_derivation_degree_check_survives_optimize():
+    # the degree check is an explicit raise, so it survives python -O
+    code = (
+        "from torelli.lie import ContextMismatch\n"
+        "from torelli.trees import DerivationElement\n"
+        "try:\n"
+        "    DerivationElement(2, 1) + DerivationElement(2, 2)\n"
+        "except ContextMismatch:\n"
+        "    print('rejected')\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": str(src)}, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "rejected"
+
+
+def test_tree_sum_genus_mismatch():
+    x = TreeSum.single(2, (1, 2), (3, 4))
+    y = TreeSum.single(3, (1, 2), (3, 4))
+    with pytest.raises(ContextMismatch):
+        x + y
+    with pytest.raises(ContextMismatch):
+        x - y
+    with pytest.raises(ContextMismatch):
+        x.bracket(y)
+
+
+_trees = st.recursive(st.integers(1, 3), lambda sub: st.tuples(sub, sub),
+                      max_leaves=3)
+_joins = st.lists(st.tuples(_trees, _trees, st.integers(-2, 2)), max_size=6)
+
+
+def _sum_of_joins(joins):
+    out = TreeSum(2)
+    for u, v, c in joins:
+        out.add_join(u, v, Fraction(c))
+    return out
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(_joins, _joins)
+def test_tree_sum_linear_ops_match_join_by_join(left, right):
+    a, b = _sum_of_joins(left), _sum_of_joins(right)
+    for sign, combo in ((1, a + b), (-1, a - b)):
+        rebuilt = _sum_of_joins(left + [(u, v, sign * c) for u, v, c in right])
+        assert combo.terms == rebuilt.terms
