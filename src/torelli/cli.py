@@ -154,12 +154,18 @@ def _load_spec(arg):
         text = sys.stdin.read()
     elif arg.lstrip().startswith(("[", "{")):
         text = arg
+    elif not arg.strip():
+        raise ValueError("empty spec")
     else:
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError:
-            return SeparatingTwist(parse_word(arg))
+        except OSError as exc:
+            try:
+                return SeparatingTwist(parse_word(arg))
+            except WordParseError as word_exc:
+                raise ValueError(f"spec {arg!r} is neither a readable file "
+                                 f"({exc}) nor a lift word ({word_exc})") from exc
     try:
         return _parse_factor(json.loads(text))
     except json.JSONDecodeError as exc:

@@ -134,7 +134,8 @@ def t_mul(p, q, cap):
 
 def t_exp(p, cap):
     """exp of a tensor polynomial with zero constant term, truncated."""
-    assert () not in p
+    if () in p:
+        raise ValueError("exp needs a zero constant term")
     out = {(): Fraction(1)}
     power = {(): Fraction(1)}
     fact = 1
@@ -150,7 +151,8 @@ def t_exp(p, cap):
 def t_log(p, cap):
     """log of a tensor polynomial with constant term 1, truncated."""
     u = dict(p)
-    assert u.pop((), None) == 1
+    if u.pop((), None) != 1:
+        raise ValueError("log needs constant term 1")
     out = {}
     power = {(): Fraction(1)}
     for k in range(1, cap + 1):

@@ -28,9 +28,9 @@ from .sp_mod2 import tree_mod2_bits
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees,
                     diagram_rows, join, mod1_class_is_zero, omega_pairing,
                     project_l3_to_a, varpi)
-from .words import comm, conjugate, parse_word, theta
+from .words import EXPANSION_MAX_DEGREE, comm, conjugate, parse_word, theta
 
-CAP = 4  # the calculus stops at tree degree 4
+CAP = EXPANSION_MAX_DEGREE  # the calculus stops where the stored expansion does
 
 
 class WindowUnderflow(ValueError):
@@ -535,7 +535,7 @@ def tr3(ts):
     dv = dvs[3]
     out = {}
     for md in dv.multidegrees():
-        chains, vecs = diagram_rows(genus, 3, md)
+        chains, vecs = diagram_rows(genus, md)
         combo = solve_rational_combination(vecs, dv.component_vector(md))
         if combo is None:
             raise ValueError("degree-3 element outside the span of chains")

@@ -408,56 +408,46 @@ def _colorings(md):
     return sorted(set(permutations(colors)))
 
 
-def _shapes(degree):
-    """Join presentations of every diagram shape of the given degree.
+def _nest(colors):
+    """The right-nested rooted tree (c0, (c1, (..., c_last)))."""
+    return colors[0] if len(colors) == 1 else (colors[0], _nest(colors[1:]))
 
-    Degrees 2 and 3 have a single shape (a chain of nodes); degree 4 has the
-    chain and the shape with a central node.
+
+def basis_colored_trees(genus, md):
+    """The caterpillar diagrams (c0, c1) -- (c2, (c3, (...))) over the
+    colorings c of md, as (coloring, TreeSum) pairs.
+
+    Read from a leaf, a diagram is a bracket, and the Jacobi identity writes
+    every bracket as an integer combination of nested ones, so caterpillars
+    span the integer tree lattice at every degree.
     """
-    if degree == 2:
-        return [lambda c: ((c[0], c[1]), (c[2], c[3]))]
-    if degree == 3:
-        return [lambda c: ((c[0], c[1]), (c[2], (c[3], c[4])))]
-    if degree == 4:
-        return [lambda c: ((c[0], c[1]), (c[2], (c[3], (c[4], c[5])))),
-                lambda c: ((c[0], c[1]), ((c[2], c[3]), (c[4], c[5])))]
-    raise ValueError(f"no tree shapes tabulated for degree {degree}")
-
-
-def basis_colored_trees(genus, degree, md):
-    """All basis-colored diagrams of the degree and multidegree, as
-    (coloring, TreeSum) pairs."""
     out = []
     for coloring in _colorings(md):
-        for shape in _shapes(degree):
-            ts = TreeSum.single(genus, *shape(coloring))
-            if ts.terms:
-                out.append((coloring, ts))
+        ts = TreeSum.single(genus, _nest(coloring[:2]), _nest(coloring[2:]))
+        if ts.terms:
+            out.append((coloring, ts))
     return out
 
 
 def half_symmetric_generators(genus, md):
-    """The elements (1/2) eta(u -- u) over rooted trees u with half content.
+    """(u, (1/2) eta(u -- u) as an integer vector) over the nested trees u
+    with half the content of md; empty unless md is even.
 
-    Returns (tree u, integer eta vector) pairs; empty unless md is even.
-    Only left-normed u are needed: their brackets already span degree 3.
+    Modulo diagrams (u + v -- u + v)/2 = (u -- u)/2 + (v -- v)/2 + (u -- v),
+    so nested u suffice: their brackets span.
     """
     if any(c % 2 for c in md):
         return []
-    half = tuple(c // 2 for c in md)
-    colors = []
-    for i, c in enumerate(half):
-        colors.extend([i + 1] * c)
     out = []
-    for (x, y, z) in sorted(set(permutations(colors))):
-        u = ((x, y), z)
+    for coloring in _colorings(tuple(c // 2 for c in md)):
+        u = _nest(coloring)
         ts = TreeSum.single(genus, u, u)
         if not ts.terms:
             continue
-        vec = ts.eta().component_vector(md)
-        if any(v.denominator != 1 or v.numerator % 2 for v in vec):
+        vec = _eta_int_vector(ts, md)
+        if any(v % 2 for v in vec):
             raise ValueError(f"eta of the double of {u} is not even")
-        out.append((u, tuple(v.numerator // 2 for v in vec)))
+        out.append((u, tuple(v // 2 for v in vec)))
     return out
 
 
@@ -469,10 +459,10 @@ def _eta_int_vector(ts, md):
 
 
 @lru_cache(maxsize=None)
-def diagram_rows(genus, degree, md):
-    """(colorings, integer eta vectors) of the basis-colored diagrams of the
+def diagram_rows(genus, md):
+    """(colorings, integer eta vectors) of the caterpillar diagrams of the
     md component, in the order of basis_colored_trees."""
-    pairs = basis_colored_trees(genus, degree, md)
+    pairs = basis_colored_trees(genus, md)
     return (tuple(c for c, _ts in pairs),
             tuple(_eta_int_vector(ts, md) for _c, ts in pairs))
 
@@ -480,21 +470,20 @@ def diagram_rows(genus, degree, md):
 @lru_cache(maxsize=None)
 def tree_lattice(genus, degree, md):
     """HNF lattice of eta images of integer diagrams in the md component."""
-    _, rows = diagram_rows(genus, degree, md)
+    _, rows = diagram_rows(genus, md)
     return hnf(rows, ambient_dim=len(component_basis(genus, degree, md)))
 
 
 @lru_cache(maxsize=None)
 def degree4_presentation(genus, md):
-    """Generator list for the md component of the degree-4 derivation lattice.
+    """Generators of the md component of the integral symplectic derivation
+    lattice of degree sum(md) - 2 (degree 4 in the paper).
 
-    Returns (rows, half_trees) where rows lists the integer vectors of all
-    basis-colored diagrams followed by the half-symmetric generators, and
-    half_trees[i] is the rooted tree of the generator at rows[len - len(half_trees) + i].
-    Together the rows generate the full integral degree-4 symplectic
-    derivation lattice; the diagram rows alone generate its tree sublattice.
+    Returns (rows, half_trees): the caterpillar rows, which generate the tree
+    sublattice, followed by the half-symmetric rows, whose trees u are
+    half_trees in the same order.
     """
-    _, rows = diagram_rows(genus, 4, md)
+    _, rows = diagram_rows(genus, md)
     half = half_symmetric_generators(genus, md)
     return (rows + tuple(vec for (_u, vec) in half),
             tuple(u for (u, _vec) in half))
@@ -544,10 +533,9 @@ def varpi(v):
         if combo is None:
             raise ValueError(f"component {md} is outside the degree-4 "
                              "derivation lattice")
-        n_half = len(half_trees)
-        for i in range(n_half):
-            if combo[len(rows) - n_half + i] % 2:
-                out ^= tree_mod2_bits(g, half_trees[i])
+        for coeff, u in zip(combo[len(rows) - len(half_trees):], half_trees):
+            if coeff % 2:
+                out ^= tree_mod2_bits(g, u)
     return out
 
 
@@ -578,11 +566,12 @@ def project_l3_to_a(genus, bits):
 # --- quotients for the closed surface ---------------------------------------
 
 def lcst_component_diagonal(genus, md):
-    """Invariant factors of (degree-4 derivation lattice)/(tree lattice) in
-    the md component."""
+    """Invariant factors of (derivation lattice)/(tree lattice) in the md
+    component, of degree sum(md) - 2."""
     rows, _ = degree4_presentation(genus, md)
-    return quotient_diagonal(tree_lattice(genus, 4, md).rows, rows,
-                             len(component_basis(genus, 4, md)))
+    degree = sum(md) - 2
+    return quotient_diagonal(tree_lattice(genus, degree, md).rows, rows,
+                             len(component_basis(genus, degree, md)))
 
 
 def all_multidegrees(genus, total):

@@ -164,9 +164,27 @@ def test_compose_bad_factor_exit2(capsys, spec, path):
     assert err.startswith(f"input error: {path}: ")
 
 
-def _cli_subprocess(*argv):
+@pytest.mark.parametrize("spec", ["", "   "], ids=["empty", "blank"])
+def test_compose_empty_spec_exit2(capsys, spec):
+    code, out, err = run(capsys, "compose", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: empty spec")
+
+
+def test_compose_unreadable_spec_names_the_file(tmp_path, capsys):
+    missing = str(tmp_path / "spec.jsn")
+    code, out, err = run(capsys, "compose", missing)
+    assert code == 2 and out == ""
+    assert repr(missing) in err and "No such file or directory" in err
+    # an inline lift word is still a twist
+    code, out, _ = run(capsys, "compose", "a1+b1+a1-b1-", "--degree", "3")
+    assert code == 0 and "degrees 2..3" in out
+
+
+def _cli_subprocess(*argv, optimize=False):
     src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run([sys.executable, "-m", "torelli.cli", *argv],
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "torelli.cli", *argv],
                           env={"PYTHONPATH": str(src)}, capture_output=True,
                           text=True, timeout=120)
 
@@ -234,6 +252,19 @@ def test_out_of_range_genus_exit3(argv):
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
     assert "capability error" in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "a1+b1+", "--degree", "3"],
+    ["verify", "symplectic", "--genus", "2"],
+    ["verify", "theorem-b", "--genus", "3"],
+], ids=["theta", "symplectic", "theorem-b"])
+def test_bch_under_optimize(argv):
+    # the constant-term checks of t_exp/t_log are explicit, so python -O
+    # computes the same BCH products
+    plain, optimized = _cli_subprocess(*argv), _cli_subprocess(*argv, optimize=True)
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)
 
 
 def test_sp_kernel_limit_refused_before_work(capsys, monkeypatch):

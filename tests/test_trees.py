@@ -2,7 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -13,8 +13,8 @@ from conftest import SEED, independent_eta, rand_homogeneous, rand_tree_sum
 from torelli.exact_linalg import hnf, rational_rank
 from torelli.lie import ContextMismatch, get_context, witt_rank
 from torelli.sp_mod2 import tree_mod2_bits
-from torelli.trees import (DerivationElement, TreeSum, basis_colored_trees,
-                           canonical_tree, component_basis,
+from torelli.trees import (DerivationElement, TreeSum, all_multidegrees,
+                           basis_colored_trees, canonical_tree, component_basis,
                            congruent_mod_trees, degree4_presentation,
                            half_symmetric_generators, join,
                            lcst_component_diagonal, lcst_full_diagonals,
@@ -191,7 +191,7 @@ def test_component_basis_dimension():
 def test_degree4_lattice_membership_examples():
     genus = 2
     md = (2, 2, 1, 1)
-    trees = basis_colored_trees(genus, 4, md)
+    trees = basis_colored_trees(genus, md)
     lat = tree_lattice(genus, 4, md)
     vec = [int(c) for c in trees[0][1].eta().component_vector(md)]
     assert lat.contains(vec)
@@ -261,6 +261,47 @@ def test_lcst_component_genus3():
         1 for w in ctx.lyndon_basis(3)
         if sorted(w) == [1, 2, 3])
     assert sum(1 for d in diag if d == 2) == half_count == 2
+
+
+def _two_shape_rows(genus, md):
+    """Integer eta rows of both degree-4 diagram shapes, the chain
+    (c0, c1) -- (c2, (c3, (c4, c5))) and the central node
+    (c0, c1) -- ((c2, c3), (c4, c5)), over the colorings c of md."""
+    colors = [i + 1 for i, c in enumerate(md) for _ in range(c)]
+    rows = []
+    for c in sorted(set(permutations(colors))):
+        for u, v in (((c[0], c[1]), (c[2], (c[3], (c[4], c[5])))),
+                     ((c[0], c[1]), ((c[2], c[3]), (c[4], c[5])))):
+            ts = TreeSum.single(genus, u, v)
+            if ts.terms:
+                rows.append([int(x) for x in ts.eta().component_vector(md)])
+    return rows
+
+
+@pytest.mark.parametrize("genus, mds", [
+    (1, all_multidegrees(1, 6)),
+    (2, all_multidegrees(2, 6)),
+    # the components of theorem B's degree-4 value of phi at genus 3; its
+    # class fails to be a tree in (2, 2, 2, 0, 0, 0)
+    (3, [(1, 2, 2, 0, 0, 1), (2, 1, 2, 0, 0, 1), (2, 2, 1, 0, 0, 1),
+         (2, 2, 2, 0, 0, 0)]),
+], ids=["genus1", "genus2", "genus3"])
+def test_caterpillars_span_the_degree4_tree_lattice(genus, mds):
+    # the central-node shape adds nothing to the caterpillar lattice
+    for md in mds:
+        reference = hnf(_two_shape_rows(genus, md),
+                        ambient_dim=len(component_basis(genus, 4, md)))
+        assert reference.rows == tree_lattice(genus, 4, md).rows, md
+
+
+@pytest.mark.parametrize("genus, expected", [(1, 1), (2, 6), (3, 15)])
+def test_degree2_cokernel_is_z2_tensor_l2(genus, expected):
+    # Levine's conjecture, proved by Conant-Schneiderman-Teichner: the
+    # cokernel of eta in degree 2k is Z/2 tensor L_{k+1}; here k = 1
+    diag = [d for md in all_multidegrees(genus, 4)
+            for d in lcst_component_diagonal(genus, md)]
+    assert set(diag) <= {1, 2}
+    assert diag.count(2) == witt_rank(2 * genus, 2) == expected
 
 
 def test_d2_contract_families_at_genus2():
@@ -350,7 +391,7 @@ def test_odbar_reduce_kills_inner_and_ideal_parts():
 def test_quotient_has_no_free_part_at_genus1():
     # rationally the tree span fills the degree-4 derivation space
     for md in [(6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5), (0, 6)]:
-        trees = basis_colored_trees(1, 4, md)
+        trees = basis_colored_trees(1, md)
         rows = [[int(c) for c in t.eta().component_vector(md)]
                 for _c, t in trees]
         full = hnf(degree4_presentation(1, md)[0],
