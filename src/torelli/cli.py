@@ -24,9 +24,10 @@ PASS, MISMATCH, INPUT_ERROR, CAPABILITY_ERROR = 0, 1, 2, 3
 # Deepest factor nesting of a spec, far beyond any real product of twists;
 # it keeps parsing and evaluation well inside Python's recursion limit.
 _SPEC_MAX_DEPTH = 100
-# Largest genus of verify sp-kernel: L_3 has rank 1360 at genus 8, and the
-# orbit closure grows faster than that rank.
-_SP_KERNEL_MAX_GENUS = 8
+# Largest genus of verify sp-kernel: L_3 has rank 2660 at genus 10, and the
+# orbit closure grows faster than that rank (a cold run took 44 s at genus 10
+# and 90 s at genus 11 on a 2-core x86-64 machine with Python 3.11).
+_SP_KERNEL_MAX_GENUS = 10
 
 
 class _Out:

@@ -411,13 +411,11 @@ def gf2_kernel(images, ambient_dim, codomain_dim):
     return ker
 
 
-def gf2_span_closure(seeds, actions, ambient_dim, guard=None):
+def gf2_span_closure(seeds, actions, ambient_dim):
     """Smallest subspace containing the seeds and closed under the actions.
 
     actions are GF(2)-linear maps given as basis-image lists.  Worklist
-    fixed-point iteration; termination by rank monotonicity.  If guard is
-    given, it is called on every newly inserted vector (e.g. to check the
-    closure never leaves a known invariant subspace).
+    fixed-point iteration; termination by rank monotonicity.
     """
     for act in actions:
         if len(act) != ambient_dim:
@@ -425,8 +423,6 @@ def gf2_span_closure(seeds, actions, ambient_dim, guard=None):
     space = Mod2Subspace(ambient_dim)
     work = []
     for s in seeds:
-        if guard is not None:
-            guard(s)
         if space.add(s):
             work.append(s)
     while work:
@@ -434,8 +430,6 @@ def gf2_span_closure(seeds, actions, ambient_dim, guard=None):
         for act in actions:
             w = gf2_apply(act, v)
             if not space.contains(w):
-                if guard is not None:
-                    guard(w)
                 space.add(w)
                 work.append(w)
     return space

@@ -24,7 +24,7 @@ class SpTransformation:
     """GF(2) symplectic map given by the images of the 2g basis letters.
 
     images[i-1] is the bitmask of the image of letter i.  Construction
-    asserts that the mod-2 pairing is preserved.
+    checks that there are 2g images and that the mod-2 pairing is preserved.
     """
 
     __slots__ = ("genus", "images", "name")
@@ -34,7 +34,9 @@ class SpTransformation:
         self.images = tuple(images)
         self.name = name
         n = 2 * genus
-        assert len(self.images) == n
+        if len(self.images) != n:
+            raise ValueError(f"{name or 'map'} needs {n} images, "
+                             f"got {len(self.images)}")
         for x in range(1, n + 1):
             for y in range(x + 1, n + 1):
                 if self._pair(self.images[x - 1], self.images[y - 1]) != \
@@ -77,7 +79,7 @@ def _mask(letters):
     return m
 
 
-def transvection(genus, letters, name=""):
+def transvection(genus, letters):
     """T_x for x the sum of the given letters: h |-> h + omega(x, h) x."""
     x = _mask(letters)
     images = []
@@ -86,49 +88,7 @@ def transvection(genus, letters, name=""):
         for p in _bits(x):
             w ^= _omega2(genus, p, h)
         images.append((1 << (h - 1)) ^ (x if w else 0))
-    return SpTransformation(genus, images, name or f"T{letters}")
-
-
-def swap_handles(genus, r, s):
-    """E_rs: exchange the r-th and s-th handle pairs."""
-    images = []
-    for h in range(1, 2 * genus + 1):
-        i = h if h <= genus else h - genus
-        if i == r:
-            j = s
-        elif i == s:
-            j = r
-        else:
-            j = i
-        images.append(1 << ((j if h <= genus else j + genus) - 1))
-    return SpTransformation(genus, images, f"E{r}{s}")
-
-
-def handle_rotation(genus, r):
-    """F_r: swap a_r and b_r (the sign of the integral version is invisible mod 2)."""
-    images = []
-    for h in range(1, 2 * genus + 1):
-        if h == r:
-            images.append(1 << (r + genus - 1))
-        elif h == r + genus:
-            images.append(1 << (r - 1))
-        else:
-            images.append(1 << (h - 1))
-    return SpTransformation(genus, images, f"F{r}")
-
-
-def handle_shear(genus, i, j):
-    """G_ij: a_i -> a_i + a_j, b_j -> b_i + b_j, the other letters fixed mod 2."""
-    assert i != j
-    images = []
-    for h in range(1, 2 * genus + 1):
-        m = 1 << (h - 1)
-        if h == i:
-            m ^= 1 << (j - 1)
-        elif h == j + genus:
-            m ^= 1 << (i + genus - 1)
-        images.append(m)
-    return SpTransformation(genus, images, f"G{i}{j}")
+    return SpTransformation(genus, images, f"T{letters}")
 
 
 # --- the action on L_3 mod 2 -------------------------------------------------
@@ -232,40 +192,33 @@ def verify_ses(genus):
 
 
 def standard_generators(genus):
-    """The transformations used in the orbit-span computation: transvections
-    at the basis letters and at b_1, b_2, a_2 + a_3, all handle swaps,
-    rotations and shears."""
+    """The transvections along the classes of the 2g+1 Humphries curves: the
+    chain a_1, b_1, a_1 + a_2, b_2, ..., a_{g-1} + a_g, b_g, and a_2 when
+    g >= 2.
+
+    The twists along these curves generate the mapping class group
+    (Humphries, LNM 722, 1979; Farb-Margalit, A Primer on Mapping Class
+    Groups, section 4.4).  A twist acts on homology as the transvection along
+    its curve's class, and the mapping class group maps onto Sp(2g, Z/2), so
+    these transvections generate Sp(2g, Z/2)."""
     g = genus
-    gens = [transvection(g, (h,)) for h in range(1, 2 * g + 1)]
-    gens.append(transvection(g, (g + 1,), "Tb1"))
+    classes = [(1,), (g + 1,)]
+    for i in range(2, g + 1):
+        classes += [(i - 1, i), (g + i,)]
     if g >= 2:
-        gens.append(transvection(g, (g + 2,), "Tb2"))
-    if g >= 3:
-        gens.append(transvection(g, (2, 3), "Ta2+a3"))
-    for r in range(1, g + 1):
-        for s in range(r + 1, g + 1):
-            gens.append(swap_handles(g, r, s))
-    for r in range(1, g + 1):
-        gens.append(handle_rotation(g, r))
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            if i != j:
-                gens.append(handle_shear(g, i, j))
-    return gens
+        classes.append((2,))
+    return [transvection(g, c) for c in classes]
 
 
 def orbit_span(genus, seed_bits):
     """Smallest subspace of L_3 mod 2 containing the seed and stable under the
-    standard generators.  Every inserted vector is checked to stay inside the
-    kernel of the contraction (it must, by equivariance, when the seed
-    does)."""
+    standard generators.  The span is checked to lie inside the kernel of the
+    contraction (it must, by equivariance, when the seed does)."""
     actions = [action_matrix(t) for t in standard_generators(genus)]
-
-    def guard(vec):
-        if stigma(genus, vec):
-            raise AssertionError("orbit left the contraction kernel")
-    return gf2_span_closure([seed_bits], actions, len(_l3_words(genus)),
-                            guard=guard)
+    span = gf2_span_closure([seed_bits], actions, len(_l3_words(genus)))
+    if any(stigma(genus, row) for row in span.rows):
+        raise AssertionError("orbit left the contraction kernel")
+    return span
 
 
 def verify_kernel_lemma(genus):

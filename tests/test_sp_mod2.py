@@ -8,12 +8,19 @@ import pytest
 from conftest import SEED
 from torelli.exact_linalg import gf2_apply
 from torelli.lie import witt_rank
-from torelli.sp_mod2 import (SpTransformation, action_matrix, handle_rotation,
-                             handle_shear, lower_bound_exponents,
-                             omega_bracket_bits, orbit_span,
-                             standard_generators, stigma, stigma_kernel,
-                             swap_handles, transvection, tree_mod2_bits,
+from torelli.sp_mod2 import (SpTransformation, action_matrix,
+                             lower_bound_exponents, omega_bracket_bits,
+                             orbit_span, standard_generators, stigma,
+                             stigma_kernel, transvection, tree_mod2_bits,
                              verify_kernel_lemma, verify_ses)
+
+
+def _run_optimized(code):
+    """Run code in a fresh interpreter under python -O."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          env={"PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
 
 
 def test_transvection_action_example():
@@ -35,8 +42,11 @@ def test_identity_action():
 
 
 def test_rotation_action_example():
+    # F1 swaps a_1 and b_1
     g = 3
-    f1 = handle_rotation(g, 1)
+    images = [1 << i for i in range(2 * g)]
+    images[0], images[g] = images[g], images[0]
+    f1 = SpTransformation(g, images, "F1")
     assert gf2_apply(action_matrix(f1), tree_mod2_bits(g, ((1, 2), 2))) == \
         tree_mod2_bits(g, ((4, 2), 2))
 
@@ -44,6 +54,32 @@ def test_rotation_action_example():
 def test_nonsymplectic_rejected():
     with pytest.raises(ValueError):
         SpTransformation(2, [0b0001, 0b0001, 0b0100, 0b1000])
+    # the image count is checked by an explicit raise, so python -O keeps it
+    for images in ([0b0001, 0b0010, 0b0100],
+                   [0b0001, 0b0010, 0b0100, 0b1000, 0b0001]):
+        with pytest.raises(ValueError):
+            SpTransformation(2, images)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_standard_generators_generate_sp(g):
+    # breadth-first enumeration of the generated group on image tuples;
+    # |Sp(2g, Z/2)| = 2^(g^2) prod_{i=1..g} (4^i - 1), i.e. 6 and 720
+    gens = [t.images for t in standard_generators(g)]
+    assert len(gens) == (2 * g + 1 if g >= 2 else 2)
+    identity = tuple(1 << i for i in range(2 * g))
+    seen, work = {identity}, [identity]
+    while work:
+        m = work.pop()
+        for t in gens:
+            product = tuple(gf2_apply(t, x) for x in m)
+            if product not in seen:
+                seen.add(product)
+                work.append(product)
+    order = 2 ** (g * g)
+    for i in range(1, g + 1):
+        order *= 4 ** i - 1
+    assert len(seen) == order
 
 
 def test_action_is_multiplicative():
@@ -71,10 +107,7 @@ def test_l3_converter_rejects_fractions_under_optimize():
         "    l3_mod2_bits(x)\n"
         "except ValueError:\n"
         "    print('rejected')\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-O", "-c", code],
-                         env={"PYTHONPATH": str(src)}, capture_output=True,
-                         text=True, timeout=120)
+    run = _run_optimized(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "rejected"
 
@@ -93,9 +126,12 @@ def test_verify_ses():
         assert ok and dim == expected == witt_rank(2 * g, 3) - 2 * g
 
 
-def test_kernel_lemma_genus3():
-    ok, span_dim, ker_dim = verify_kernel_lemma(3)
-    assert ok and span_dim == ker_dim == 64
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_kernel_lemma(g):
+    ok, span_dim, ker_dim = verify_kernel_lemma(g)
+    assert ok and span_dim == ker_dim == witt_rank(2 * g, 3) - 2 * g
+    if g == 3:
+        assert span_dim == 64
 
 
 def test_kernel_lemma_needs_genus3():
@@ -109,6 +145,16 @@ def test_orbit_guard_catches_bad_seed():
     bad = omega_bracket_bits(g, 1)
     with pytest.raises(AssertionError):
         orbit_span(g, bad)
+    # the inclusion check is an explicit raise, so python -O keeps it
+    code = (
+        "from torelli.sp_mod2 import omega_bracket_bits, orbit_span\n"
+        "try:\n"
+        "    orbit_span(3, omega_bracket_bits(3, 1))\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n")
+    run = _run_optimized(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "orbit left the contraction kernel"
 
 
 def test_orbit_stays_in_kernel():
@@ -136,13 +182,3 @@ def test_lower_bounds():
         bordered, closed = lower_bound_exponents(g)
         assert 3 * bordered == 8 * (g ** 3 - g)
         assert 3 * closed == g ** 3 - 4 * g
-
-
-def test_shear_and_swap_are_symplectic():
-    for g in (2, 3):
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                if i != j:
-                    handle_shear(g, i, j)
-                    if i < j:
-                        swap_handles(g, i, j)
