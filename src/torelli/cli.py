@@ -17,8 +17,8 @@ from .mcg import (BoundingPairMap, Commutator, Conjugate, Inverse, Product,
                   theorem_b_report)
 from .sp_mod2 import lower_bound_exponents, verify_kernel_lemma, verify_ses
 from .trees import lcst_component_diagonal, lcst_full_diagonals
-from .words import (EXPANSION_MAX_DEGREE, WordParseError, get_table,
-                    parse_word, symplectic_check, theta)
+from .words import (WordParseError, get_table, parse_word, symplectic_check,
+                    theta)
 
 PASS, MISMATCH, INPUT_ERROR, CAPABILITY_ERROR = 0, 1, 2, 3
 # Deepest factor nesting of a spec, far beyond any real product of twists;
@@ -50,11 +50,7 @@ class _Out:
 
 
 def _table(args):
-    degree = args.degree if args.degree is not None else 3
-    if degree > EXPANSION_MAX_DEGREE:
-        raise DegreeCapError(
-            f"the expansion is unspecified beyond degree {EXPANSION_MAX_DEGREE}")
-    return get_table(args.genus, degree)
+    return get_table(args.genus, args.degree if args.degree is not None else 3)
 
 
 def cmd_theta(args, out):
@@ -223,9 +219,6 @@ def cmd_verify_symplectic(args, out):
     degrees = [args.degree] if args.degree is not None else [3, 4]
     ok = True
     for n in degrees:
-        if n > EXPANSION_MAX_DEGREE:
-            raise DegreeCapError(
-                f"the expansion is unspecified beyond degree {EXPANSION_MAX_DEGREE}")
         good = symplectic_check(get_table(args.genus, n))
         ok = ok and good
         out.emit({"genus": args.genus, "degree": n, "ok": good},
@@ -237,8 +230,7 @@ def cmd_verify_symplectic(args, out):
 def cmd_verify_theorem_b(args, out):
     if args.genus < 3:
         raise DegreeCapError("the construction needs genus >= 3")
-    degree = args.degree if args.degree is not None else 3
-    stages, _rep = theorem_b_report(get_table(args.genus, degree))
+    stages, _rep = theorem_b_report(_table(args))
     ok = True
     for s in stages:
         ok = ok and s["ok"]

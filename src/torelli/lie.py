@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact_linalg import reduce_mod_rowspace, rref
+
 MAX_CLASS = 5  # Lie-algebra operations are supported up to degree 5
 
 
@@ -198,7 +200,8 @@ class LieContext:
     # -- basis bookkeeping --
 
     def lyndon_basis(self, degree):
-        assert degree >= 1
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
         if degree not in self._lyndon:
             words = tuple(w for w in lyndon_words(self.letters, degree)
                           if len(w) == degree)
@@ -285,15 +288,18 @@ class LieContext:
         return LieElement(self, {word: c} if c else {})
 
     def gen_a(self, i):
-        assert 1 <= i <= self.genus
+        if not 1 <= i <= self.genus:
+            raise ValueError(f"a_{i} out of range 1..{self.genus}")
         return self.monomial((i,))
 
     def gen_b(self, i):
-        assert 1 <= i <= self.genus
+        if not 1 <= i <= self.genus:
+            raise ValueError(f"b_{i} out of range 1..{self.genus}")
         return self.monomial((self.genus + i,))
 
     def generator(self, letter):
-        assert 1 <= letter <= self.letters
+        if not 1 <= letter <= self.letters:
+            raise ValueError(f"letter {letter} out of range 1..{self.letters}")
         return self.monomial((letter,))
 
     def omega(self):
@@ -492,7 +498,6 @@ def ideal_omega_component(ctx, d):
 
 def _ideal_rowspace(ctx, d):
     """RREF data of the degree-d component of <<omega>> in the Lyndon basis."""
-    from .exact_linalg import rref
     basis = ctx.lyndon_basis(d)
     index = {w: i for i, w in enumerate(basis)}
     rows = []
@@ -515,11 +520,11 @@ def lbar_rank(ctx, d):
 def lbar_reduce(x):
     """Canonical representative of a homogeneous Lie element in the quotient
     by the ideal generated by omega (zero iff the class is zero)."""
-    from .exact_linalg import reduce_mod_rowspace
     ctx = x.ctx
     d = x.max_degree()
     if x.is_zero() or d == 1:
         return x
-    assert x.min_degree() == d, "lbar_reduce needs a homogeneous element"
+    if x.min_degree() != d:
+        raise ValueError("lbar_reduce needs a homogeneous element")
     basis, (reduced, pivots) = _ideal_rowspace(ctx, d)
     return x._like(reduce_mod_rowspace(x.terms, basis, reduced, pivots))

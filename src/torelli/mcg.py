@@ -10,20 +10,22 @@ stored expansion stops at degree 4).  Every combinator propagates the window,
 so requesting an uncomputed degree raises WindowUnderflow instead of silently
 returning garbage.
 
-BCH and group-commutator coefficients are not transcribed from anywhere: they
-are extracted once from the truncated tensor-algebra BCH on two free
-generators and then evaluated on tree values.  Since every value here starts
-in degree >= 1 and the calculus truncates at degree 4, bracket words of
-length > 4 cannot contribute, so the free class-4 identities are exact.
+Every group operation on values is one Lyndon-word series on two letters,
+whose coefficients are not transcribed from anywhere: they are extracted once
+from the truncated tensor-algebra BCH on two free generators.  Since every
+value here starts in degree >= 1 and the calculus truncates at degree 4,
+bracket words of length > 4 cannot contribute, so the free class-4 identities
+are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exact_linalg import rational_rank, solve_rational_combination
-from .lie import DegreeCapError, get_context, standard_bracketing, t_add_into
+from .lie import (ContextMismatch, DegreeCapError, LieElement, get_context,
+                  standard_bracketing, t_add_into)
 from .sp_mod2 import tree_mod2_bits
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees,
                     diagram_rows, join, mod1_class_is_zero, omega_pairing,
@@ -34,9 +36,8 @@ CAP = EXPANSION_MAX_DEGREE  # the calculus stops where the stored expansion does
 
 
 class WindowUnderflow(ValueError):
-    def __init__(self, degree, label=""):
-        hint = f" of {label}" if label else ""
-        super().__init__(f"degree-{degree} part{hint} was never computed "
+    def __init__(self, degree):
+        super().__init__(f"degree-{degree} part was never computed "
                          f"(knowledge window ends below {degree})")
         self.degree = degree
 
@@ -77,19 +78,23 @@ class GradedValue:
     def known_parts(self):
         return {d: self.part(d) for d in range(self.depth, self.known + 1)}
 
+    def _check(self, other):
+        if self.genus != other.genus:
+            raise ContextMismatch(f"genus {self.genus} vs {other.genus}")
+
     def __add__(self, other):
-        assert self.genus == other.genus
-        depth = min(self.depth, other.depth)
-        known = min(self.known, other.known)
-        parts = {}
-        for d in range(depth, known + 1):
-            s = self.part(d) + other.part(d)
-            if s.terms:
-                parts[d] = s
-        return GradedValue(self.genus, parts, depth, known)
+        self._check(other)
+        parts = dict(self.parts)
+        for d, p in other.parts.items():
+            parts[d] = parts.get(d, TreeSum(self.genus)) + p
+        return GradedValue(self.genus, parts, min(self.depth, other.depth),
+                           min(self.known, other.known))
 
     def __neg__(self):
+        # the BCH inverse is plain negation
         return self * -1
+
+    inverse = __neg__
 
     def __mul__(self, scalar):
         c = Fraction(scalar)
@@ -100,86 +105,70 @@ class GradedValue:
     __rmul__ = __mul__
 
     def bracket(self, other):
-        assert self.genus == other.genus
-        depth = self.depth + other.depth
+        self._check(other)
         known = min(self.known + other.depth, other.known + self.depth, CAP)
         parts = {}
-        for d in range(depth, known + 1):
-            acc = TreeSum(self.genus)
-            for i in range(self.depth, d - other.depth + 1):
-                j = d - i
-                acc = acc + self.part(i).bracket(other.part(j))
-            if acc.terms:
-                parts[d] = acc
-        return GradedValue(self.genus, parts, depth, known)
+        for i, p in self.parts.items():
+            for j, q in other.parts.items():
+                if i + j <= known:
+                    parts[i + j] = (parts.get(i + j, TreeSum(self.genus))
+                                    + p.bracket(q))
+        return GradedValue(self.genus, parts, self.depth + other.depth, known)
 
     def bch(self, other):
         """BCH product of the two values in the tree Lie algebra."""
-        out = self + other
-        for word, c in _bch_bracket_words():
-            out = out + _evaluate_word(word, self, other) * c
-        return out
-
-    def inverse(self):
-        # BCH inverse is plain negation.
-        return -self
+        return _series("bch", self, other)
 
     def commutator(self, other):
         """Group commutator under BCH, valid with partial windows.
 
-        Uses the extracted bracket-word expansion of log(e^x e^y e^-x e^-y),
-        whose terms all contain both letters, so unknown high parts of one
-        factor only ever meet the other factor's depth.
+        Every term of log(e^x e^y e^-x e^-y) contains both letters, so
+        unknown high parts of one factor only ever meet the other factor's
+        depth.
         """
-        out = GradedValue.zero(self.genus)
-        for word, c in _commutator_words():
-            out = out + _evaluate_word(word, self, other) * c
-        return out
+        return _series("commutator", self, other)
 
     def conjugate_by(self, other):
         """exp(ad other) applied to self: the value of the conjugate of self
         by other when both lie in the Torelli group (trivial homology action).
         """
-        out = self
-        term = self
-        factorial = 1
-        for k in range(1, CAP):
-            term = other.bracket(term)
-            factorial *= k
-            out = out + term * Fraction(1, factorial)
-        return out
+        return _series("conjugate_by", self, other)
 
     def __repr__(self):
         return (f"<GradedValue g={self.genus} depth={self.depth} "
                 f"known={self.known}>")
 
 
-def _evaluate_word(word, x, y):
-    """Evaluate the standard bracketing of a word over letters {1: x, 2: y}."""
-    def ev(tree):
-        if tree == 1:
-            return x
-        if tree == 2:
-            return y
-        return ev(tree[0]).bracket(ev(tree[1]))
-    return ev(standard_bracketing(word))
-
-
 @lru_cache(maxsize=None)
-def _bch_bracket_words():
-    """Lyndon-word expansion of BCH on two letters, bracket terms only."""
-    ctx = get_context(1, CAP)
-    z = ctx.generator(1).bch(ctx.generator(2))
-    return tuple((w, c) for w, c in sorted(z.terms.items()) if len(w) >= 2)
-
-
-@lru_cache(maxsize=None)
-def _commutator_words():
-    """Lyndon-word expansion of log(e^x e^y e^-x e^-y) on two letters."""
+def _series_words(op):
+    """The series of op on two free letters x = 1, y = 2 in the Lyndon basis,
+    as (standard bracketing, coefficient) pairs: the log of a product of
+    exponentials, computed by BCH."""
     ctx = get_context(1, CAP)
     x, y = ctx.generator(1), ctx.generator(2)
-    z = x.bch(y).bch(-x).bch(-y)
-    return tuple((w, c) for w, c in sorted(z.terms.items()))
+    factors = {"bch": (x, y),                   # log(e^x e^y)
+               "commutator": (x, y, -x, -y),    # log(e^x e^y e^-x e^-y)
+               "conjugate_by": (y, x, -y)}[op]  # log(e^y e^x e^-y) = exp(ad y) x
+    z = reduce(LieElement.bch, factors)
+    return tuple((standard_bracketing(w), c) for w, c in sorted(z.terms.items()))
+
+
+def _series(op, x, y):
+    """The series of op evaluated on graded values x, y.  The bracketings of
+    the Lyndon words share sub-trees, and each distinct sub-tree is
+    bracketed once."""
+    values = {1: x, 2: y}
+
+    def ev(tree):
+        v = values.get(tree)
+        if v is None:
+            v = values[tree] = ev(tree[0]).bracket(ev(tree[1]))
+        return v
+
+    out = GradedValue.zero(x.genus)
+    for tree, c in _series_words(op):
+        out = out + ev(tree) * c
+    return out
 
 
 def compose_values(values):
@@ -187,10 +176,7 @@ def compose_values(values):
     values = list(values)
     if not values:
         raise ValueError("empty composition")
-    out = values[0]
-    for v in values[1:]:
-        out = out.bch(v)
-    return out
+    return reduce(GradedValue.bch, values)
 
 
 # --- generators of the calculus ---------------------------------------------
@@ -262,59 +248,46 @@ def _require_degree2(table, what):
                              f"degree >= 2, got {table.ctx.max_degree}")
 
 
+def _null_theta(table, word, what):
+    """theta(word), for a word that must be null-homologous."""
+    th = theta(word, table)
+    if not th.degree_part(1).is_zero():
+        raise NotInFiltration(f"{what} {word.render()!r} is not null-homologous")
+    return th
+
+
+def _graded(ts, depth, known):
+    """The graded value of a tree sum, split by degree; degrees outside the
+    window depth..known are dropped."""
+    return GradedValue(ts.genus, {d: ts.degree_part(d) for d in ts.degrees()},
+                       depth, known)
+
+
 def twist_value(table, twist):
     """Value of a separating twist power: half the self-join of theta(lift),
     times the power."""
     _require_degree2(table, "separating twist")
-    th = theta(twist.lift, table)
-    if not th.degree_part(1).is_zero():
-        raise NotInFiltration(
-            f"twist lift {twist.lift.render()!r} is not null-homologous")
-    genus = table.ctx.genus
-    cap = table.ctx.max_degree
-    parts = {}
-    for d in range(2, min(cap, CAP) + 1):
-        acc = TreeSum(genus)
-        for d1 in range(2, d + 1):
-            d2 = d + 2 - d1
-            if 2 <= d2 <= cap:
-                acc = acc + join(th.degree_part(d1), th.degree_part(d2)) * Fraction(1, 2)
-        if acc.terms:
-            parts[d] = acc
-    single = GradedValue(genus, parts, 2, min(cap, CAP))
-    return _power(single, twist.power)
+    th = _null_theta(table, twist.lift, "twist lift")
+    value = join(th, th) * Fraction(1, 2)
+    return _power(_graded(value, 2, table.ctx.max_degree), twist.power)
 
 
 def bounding_pair_value(table, bp):
-    """Value of a bounding-pair map through degree 2.
+    """Value of a bounding-pair map through degree 2:
+    -theta(gamma) -- theta(c) - 1/2 theta(c) -- theta(c).
 
     With [gamma], [c] the leading terms of theta(gamma), theta(c):
       degree 1: -[gamma] -- [c]
       degree 2: -1/2 [c] -- [c]  -  theta_2(gamma) -- [c]  -  [gamma] -- theta_3(c)
+    The degree-d part needs theta(c) through degree d + 1.
     """
     _require_degree2(table, "bounding pair")
     th_g = theta(bp.gamma, table)
-    th_c = theta(bp.c, table)
-    if not th_c.degree_part(1).is_zero():
-        raise NotInFiltration(
-            f"bounding-pair ratio {bp.c.render()!r} is not null-homologous")
-    genus = table.ctx.genus
-    g1 = th_g.degree_part(1)
-    g2 = th_g.degree_part(2)
-    c2 = th_c.degree_part(2)
-    parts = {}
-    r1 = -1 * join(g1, c2)
-    if r1.terms:
-        parts[1] = r1
-    known = 1
-    if table.ctx.max_degree >= 3:
-        c3 = th_c.degree_part(3)
-        r2 = (join(c2, c2) * Fraction(-1, 2) - join(g2, c2) - join(g1, c3))
-        if r2.terms:
-            parts[2] = r2
-        known = 2
-    single = GradedValue(genus, parts, 1, known)
-    return _power(single, bp.power)
+    th_c = _null_theta(table, bp.c, "bounding-pair ratio")
+    known = min(table.ctx.max_degree - 1, 2)
+    th_g, th_c = th_g.truncated(known), th_c.truncated(known + 1)
+    value = -join(th_g, th_c) - join(th_c, th_c) * Fraction(1, 2)
+    return _power(_graded(value, 1, known), bp.power)
 
 
 def _power(value, n):
@@ -435,10 +408,7 @@ def r_circ_mod1(value):
 def genus_of_lift(table, lift):
     """Genus of the subsurface bounded by a separating curve, read off the
     rank of the degree-2 skew form of theta(lift)."""
-    lift = _as_word(lift)
-    th = theta(lift, table)
-    if not th.degree_part(1).is_zero():
-        raise NotInFiltration(f"lift {lift.render()!r} is not null-homologous")
+    th = _null_theta(table, _as_word(lift), "lift")
     n = 2 * table.ctx.genus
     mat = [[Fraction(0)] * n for _ in range(n)]
     for w, c in th.degree_part(2).terms.items():

@@ -24,24 +24,27 @@ class SpTransformation:
     """GF(2) symplectic map given by the images of the 2g basis letters.
 
     images[i-1] is the bitmask of the image of letter i.  Construction
-    checks that there are 2g images and that the mod-2 pairing is preserved.
+    checks that there are 2g images, that each is a mask over the 2g letters
+    and that the mod-2 pairing is preserved.
     """
 
-    __slots__ = ("genus", "images", "name")
+    __slots__ = ("genus", "images")
 
-    def __init__(self, genus, images, name=""):
+    def __init__(self, genus, images):
         self.genus = genus
         self.images = tuple(images)
-        self.name = name
         n = 2 * genus
         if len(self.images) != n:
-            raise ValueError(f"{name or 'map'} needs {n} images, "
-                             f"got {len(self.images)}")
+            raise ValueError(f"map needs {n} images, got {len(self.images)}")
+        for mask in self.images:
+            if mask >> n:
+                raise ValueError(f"image {mask:#b} is not a mask over the "
+                                 f"{n} letters")
         for x in range(1, n + 1):
             for y in range(x + 1, n + 1):
                 if self._pair(self.images[x - 1], self.images[y - 1]) != \
                         _omega2(genus, x, y):
-                    raise ValueError(f"{name or 'map'} is not symplectic mod 2")
+                    raise ValueError("map is not symplectic mod 2")
 
     def _pair(self, mask_x, mask_y):
         total = 0
@@ -58,7 +61,7 @@ class SpTransformation:
         return hash((self.genus, self.images))
 
     def __repr__(self):
-        return f"<Sp {self.name or hex(hash(self.images))}>"
+        return f"SpTransformation({self.genus}, {list(self.images)})"
 
 
 def _bits(mask):
@@ -88,7 +91,7 @@ def transvection(genus, letters):
         for p in _bits(x):
             w ^= _omega2(genus, p, h)
         images.append((1 << (h - 1)) ^ (x if w else 0))
-    return SpTransformation(genus, images, f"T{letters}")
+    return SpTransformation(genus, images)
 
 
 # --- the action on L_3 mod 2 -------------------------------------------------

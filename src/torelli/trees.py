@@ -30,7 +30,9 @@ def lie_lift(ctx, x):
     """Copy a Lie element into another context of the same genus, truncating."""
     if x.ctx is ctx:
         return x
-    assert x.ctx.genus == ctx.genus
+    if x.ctx.genus != ctx.genus:
+        raise ContextMismatch(f"cannot lift genus {x.ctx.genus} into genus "
+                              f"{ctx.genus}")
     return LieElement(ctx, {w: c for w, c in x.terms.items()
                             if len(w) <= ctx.max_degree})
 
@@ -337,10 +339,6 @@ class DerivationElement(SparseCombination):
 
     def multidegrees(self):
         return sorted({_term_multidegree(self.genus, k) for k in self.terms})
-
-    def component(self, md):
-        return self._like({k: c for k, c in self.terms.items()
-                           if _term_multidegree(self.genus, k) == md})
 
     def component_vector(self, md):
         basis = component_basis(self.genus, self.degree, md)

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction as Fr
 from functools import lru_cache
 
-from .lie import LieContext, get_context
+from .lie import DegreeCapError, LieContext, get_context
 
 # A letter is (kind, index, sign) with kind "a"/"b", index 1..g, sign +-1.
 _TOKEN = re.compile(r"([ab])([1-9][0-9]*)([+-])")
@@ -116,9 +116,8 @@ class ExpansionTable:
 
     def __init__(self, ctx: LieContext):
         if ctx.max_degree > EXPANSION_MAX_DEGREE:
-            raise ValueError(
-                "symplectic expansion unspecified beyond degree "
-                f"{EXPANSION_MAX_DEGREE} (requested {ctx.max_degree})")
+            raise DegreeCapError("the expansion is unspecified beyond degree "
+                                 f"{EXPANSION_MAX_DEGREE}")
         self.ctx = ctx
         g = ctx.genus
         a = [None] + [ctx.gen_a(i) for i in range(1, g + 1)]

@@ -1,8 +1,12 @@
-"""Shared helpers: seeded random generators for algebraic objects and an
-independent reimplementation of the leaf-rerooting map used as an oracle."""
+"""Shared helpers: seeded random generators for algebraic objects, an
+independent reimplementation of the leaf-rerooting map used as an oracle, and
+a fresh-interpreter runner for checks that must survive python -O."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def run_python(*argv, optimize=True):
+    """Run `python -O argv...` (plain `python` when optimize is false) in a
+    fresh interpreter on the package sources, capturing text output.  Math
+    checks are explicit raises, so they must behave the same under -O."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, *argv],
+                          env={"PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.fixture

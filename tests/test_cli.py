@@ -1,15 +1,12 @@
 import contextlib
 import io
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import SEED
+from conftest import SEED, run_python
 from torelli import cli
 from torelli.cli import main
 
@@ -39,9 +36,18 @@ def test_theta_parse_error_exit2(capsys):
     assert "offset 0" in err
 
 
-def test_theta_degree_cap_exit3(capsys):
-    code, _, err = run(capsys, "theta", "a1+", "--degree", "5")
-    assert code == 3
+@pytest.mark.parametrize("argv", [
+    ["theta", "a1+"],
+    ["verify", "theorem-b"],
+    ["verify", "symplectic"],
+    ["compose", "a1+b1+a1-b1-"],
+], ids=["theta", "theorem-b", "symplectic", "compose"])
+def test_degree_cap_exit3(capsys, argv):
+    # the expansion table owns the cap, so every command refuses alike
+    code, out, err = run(capsys, *argv, "--degree", "5")
+    assert code == 3 and out == ""
+    assert err == ("capability error: the expansion is unspecified beyond "
+                   "degree 4\n")
 
 
 def test_theta_json(capsys):
@@ -182,11 +188,7 @@ def test_compose_unreadable_spec_names_the_file(tmp_path, capsys):
 
 
 def _cli_subprocess(*argv, optimize=False):
-    src = Path(__file__).resolve().parents[1] / "src"
-    flags = ["-O"] if optimize else []
-    return subprocess.run([sys.executable, *flags, "-m", "torelli.cli", *argv],
-                          env={"PYTHONPATH": str(src)}, capture_output=True,
-                          text=True, timeout=120)
+    return run_python("-m", "torelli.cli", *argv, optimize=optimize)
 
 
 @pytest.mark.parametrize("spec", [

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, rand_lie
+from conftest import SEED, rand_lie, run_python
 from torelli.lie import (ContextMismatch, DegreeCapError, LieContext,
                          get_context, ideal_omega_component, is_lyndon,
                          lbar_rank, lyndon_words, standard_bracketing,
@@ -104,6 +104,40 @@ def test_bracket_properties_random():
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
         get_context(2, 3).gen_a(1).bracket(get_context(2, 4).gen_a(1))
+
+
+def test_range_and_space_checks_survive_optimize():
+    # each check is an explicit raise, so python -O refuses the same inputs
+    code = (
+        "from torelli.lie import ContextMismatch, get_context, lbar_reduce\n"
+        "from torelli.mcg import GradedValue\n"
+        "from torelli.trees import lie_lift\n"
+        "ctx = get_context(3, 3)\n"
+        "a1, b1 = ctx.gen_a(1), ctx.gen_b(1)\n"
+        "checks = {\n"
+        "    'lyndon_basis': lambda: ctx.lyndon_basis(0),\n"
+        "    'gen_a': lambda: ctx.gen_a(4),\n"
+        "    'gen_b': lambda: ctx.gen_b(0),\n"
+        "    'generator': lambda: ctx.generator(0),\n"
+        "    'lbar_reduce': lambda: lbar_reduce(a1 + a1.bracket(b1)),\n"
+        "    'lie_lift': lambda: lie_lift(get_context(2, 3), a1),\n"
+        "    'add': lambda: GradedValue.zero(2) + GradedValue.zero(3),\n"
+        "    'bracket': lambda: GradedValue.zero(2).bracket(GradedValue.zero(3)),\n"
+        "}\n"
+        "for name, check in checks.items():\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ContextMismatch:\n"
+        "        print(name, 'ContextMismatch')\n"
+        "    except ValueError:\n"
+        "        print(name, 'ValueError')\n")
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n") == [
+        "lyndon_basis ValueError", "gen_a ValueError", "gen_b ValueError",
+        "generator ValueError", "lbar_reduce ValueError",
+        "lie_lift ContextMismatch", "add ContextMismatch",
+        "bracket ContextMismatch", ""]
 
 
 def test_degree_cap():

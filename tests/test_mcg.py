@@ -235,6 +235,41 @@ def test_conjugation_two_routes(rng):
         assert conj.part(d).equals(h.part(d))
 
 
+def test_conjugation_is_the_exponential_series(table34, lifts):
+    # compose prints the symbolic trees, so conjugation must give the very
+    # tree sums of h + [f,h] + [f,[f,h]]/2 + [f,[f,[f,h]]]/6, not only equal
+    # ones; the bounding pair's partial window exercises the window rules
+    pool = twist_pool(2, 4, 6)
+    bp = factor_value(table34, lifts["p1"])
+    tw = factor_value(table34, SeparatingTwist(lifts["gamma1"]))
+    for f, h in ((pool[0], pool[1]), (pool[2], pool[3]), (bp, tw), (tw, bp)):
+        ffh = f.bracket(f.bracket(h))
+        expected = (h + f.bracket(h) + ffh * Fraction(1, 2)
+                    + f.bracket(ffh) * Fraction(1, 6))
+        got = h.conjugate_by(f)
+        assert (got.depth, got.known) == (expected.depth, expected.known)
+        assert ({d: p.terms for d, p in got.parts.items()}
+                == {d: p.terms for d, p in expected.parts.items()})
+
+
+def test_group_operations_bracket_each_subtree_once(monkeypatch):
+    # the class-4 series share sub-brackets: BCH needs [x,y], [x,[x,y]],
+    # [[x,y],y] and [x,[[x,y],y]]; the commutator six; conjugation three
+    f, h = twist_pool(2, 4, 6)[:2]
+    calls = []
+    real = GradedValue.bracket
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(GradedValue, "bracket", counting)
+    for op, expected in (("bch", 4), ("commutator", 6), ("conjugate_by", 3)):
+        calls.clear()
+        getattr(f, op)(h)
+        assert len(calls) == expected, op
+
+
 # --- tau and R ----------------------------------------------------------------
 
 def test_tau_values(table3, lifts):

@@ -1,11 +1,8 @@
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import SEED
+from conftest import SEED, run_python
 from torelli.exact_linalg import gf2_apply
 from torelli.lie import witt_rank
 from torelli.sp_mod2 import (SpTransformation, action_matrix,
@@ -13,14 +10,6 @@ from torelli.sp_mod2 import (SpTransformation, action_matrix,
                              orbit_span, standard_generators, stigma,
                              stigma_kernel, transvection, tree_mod2_bits,
                              verify_kernel_lemma, verify_ses)
-
-
-def _run_optimized(code):
-    """Run code in a fresh interpreter under python -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run([sys.executable, "-O", "-c", code],
-                          env={"PYTHONPATH": str(src)}, capture_output=True,
-                          text=True, timeout=120)
 
 
 def test_transvection_action_example():
@@ -33,7 +22,7 @@ def test_transvection_action_example():
 
 def test_identity_action():
     g = 3
-    ident = SpTransformation(g, [1 << i for i in range(2 * g)], "id")
+    ident = SpTransformation(g, [1 << i for i in range(2 * g)])
     rng = random.Random(SEED)
     dim = witt_rank(2 * g, 3)
     for _ in range(20):
@@ -46,7 +35,7 @@ def test_rotation_action_example():
     g = 3
     images = [1 << i for i in range(2 * g)]
     images[0], images[g] = images[g], images[0]
-    f1 = SpTransformation(g, images, "F1")
+    f1 = SpTransformation(g, images)
     assert gf2_apply(action_matrix(f1), tree_mod2_bits(g, ((1, 2), 2))) == \
         tree_mod2_bits(g, ((4, 2), 2))
 
@@ -59,6 +48,10 @@ def test_nonsymplectic_rejected():
                    [0b0001, 0b0010, 0b0100, 0b1000, 0b0001]):
         with pytest.raises(ValueError):
             SpTransformation(2, images)
+    # an image with a bit above the 2g letters is not a mask over them, even
+    # when it pairs like one
+    with pytest.raises(ValueError, match="not a mask"):
+        SpTransformation(1, [0b001, 0b110])
 
 
 @pytest.mark.parametrize("g", [1, 2])
@@ -107,7 +100,7 @@ def test_l3_converter_rejects_fractions_under_optimize():
         "    l3_mod2_bits(x)\n"
         "except ValueError:\n"
         "    print('rejected')\n")
-    run = _run_optimized(code)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "rejected"
 
@@ -152,7 +145,7 @@ def test_orbit_guard_catches_bad_seed():
         "    orbit_span(3, omega_bracket_bits(3, 1))\n"
         "except AssertionError as e:\n"
         "    print(e)\n")
-    run = _run_optimized(code)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "orbit left the contraction kernel"
 

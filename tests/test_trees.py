@@ -1,15 +1,13 @@
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import permutations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, independent_eta, rand_homogeneous, rand_tree_sum
+from conftest import (SEED, independent_eta, rand_homogeneous, rand_tree_sum,
+                      run_python)
 from torelli.exact_linalg import hnf, rational_rank
 from torelli.lie import ContextMismatch, get_context, witt_rank
 from torelli.sp_mod2 import tree_mod2_bits
@@ -469,10 +467,7 @@ def test_derivation_degree_check_survives_optimize():
         "    DerivationElement(2, 1) + DerivationElement(2, 2)\n"
         "except ContextMismatch:\n"
         "    print('rejected')\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    run = subprocess.run([sys.executable, "-O", "-c", code],
-                         env={"PYTHONPATH": str(src)}, capture_output=True,
-                         text=True, timeout=120)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "rejected"
 

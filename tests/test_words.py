@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SEED, rand_word
-from torelli.lie import get_context
+from torelli.lie import DegreeCapError, get_context
 from torelli.words import (ExpansionTable, GroupWord, WordParseError,
                            boundary_word, comm, get_table, parse_word,
                            symplectic_check, theta)
@@ -117,5 +117,5 @@ def test_symplectic_check_detects_perturbation():
 
 
 def test_table_rejects_degree_five():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeCapError, match="unspecified beyond degree 4"):
         ExpansionTable(get_context(2, 5))
