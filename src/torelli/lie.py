@@ -185,6 +185,7 @@ class LieContext:
         self._bracketing = {}   # word -> tree
         self._expansion = {}    # word -> tensor dict with int coeffs
         self._bracket_memo = {} # (w1, w2) -> lyndon dict with int coeffs
+        self._tree_memo = {}    # tree -> LieElement, shared by every caller
 
     def __repr__(self):
         return f"LieContext(genus={self.genus}, max_degree={self.max_degree})"
@@ -310,12 +311,20 @@ class LieContext:
         return LieElement(self, terms)
 
     def from_tree(self, tree):
-        """Evaluate an iterated-bracket tree with generator leaves."""
-        if isinstance(tree, int):
-            return self.generator(tree)
-        if tree_size(tree) > self.max_degree:
-            return self.zero()
-        return self.from_tree(tree[0]).bracket(self.from_tree(tree[1]))
+        """Evaluate an iterated-bracket tree with generator leaves.
+
+        Memoized per tree, so each distinct subtree is bracketed once.  The
+        result is shared: callers must not mutate its terms."""
+        out = self._tree_memo.get(tree)
+        if out is None:
+            if isinstance(tree, int):
+                out = self.generator(tree)
+            elif tree_size(tree) > self.max_degree:
+                out = self.zero()
+            else:
+                out = self.from_tree(tree[0]).bracket(self.from_tree(tree[1]))
+            self._tree_memo[tree] = out
+        return out
 
     def letter_name(self, letter):
         if letter <= self.genus:

@@ -122,7 +122,11 @@ def l3_mod2_bits(x):
 @lru_cache(maxsize=None)
 def tree_mod2_bits(genus, tree):
     """A degree-3 bracket tree with generator leaves in L_3 mod 2."""
-    return l3_mod2_bits(get_context(genus, 3).from_tree(tree))
+    # This cache already holds every whole tree, so only the two halves go
+    # through the memo of from_tree.
+    ctx = get_context(genus, 3)
+    left, right = tree
+    return l3_mod2_bits(ctx.from_tree(left).bracket(ctx.from_tree(right)))
 
 
 @lru_cache(maxsize=None)

@@ -383,17 +383,17 @@ def component_basis(genus, degree, md):
         raise ValueError(f"invalid multidegree {md} for degree {degree}")
     ctx = get_context(genus, degree + 1)
     out = []
-    for h in range(1, 2 * genus + 1):
-        if md[h - 1] == 0:
-            continue
+    for w in ctx.lyndon_basis(degree + 1):
+        # rest = md - content(w) sums to 1: keep w when it stays >= 0, so
+        # that it is one unit vector e_h
         rest = list(md)
-        rest[h - 1] -= 1
-        for w in ctx.lyndon_basis(degree + 1):
-            counts = [0] * (2 * genus)
-            for letter in w:
-                counts[letter - 1] += 1
-            if tuple(counts) == tuple(rest):
-                out.append((h, w))
+        for letter in w:
+            if not rest[letter - 1]:
+                break
+            rest[letter - 1] -= 1
+        else:
+            out.append((rest.index(1) + 1, w))
+    out.sort(key=lambda pair: pair[0])  # stable: Lyndon order within each h
     return tuple(out)
 
 

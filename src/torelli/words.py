@@ -3,9 +3,10 @@ their images under the symplectic expansion into the nilpotent free Lie
 algebra.
 
 The expansion table stores, per generator, the explicit Lie series through
-degree 4; a word is evaluated by BCH-folding the per-letter values left to
-right.  The boundary word of the surface must map to the symplectic element
-omega, which is the calibration check for the whole table.
+degree 4; a word is evaluated as one group-like product: the logarithm of the
+product of the per-letter exponentials in the truncated tensor algebra.  The
+boundary word of the surface must map to the symplectic element omega, which
+is the calibration check for the whole table.
 """
 
 from __future__ import annotations
@@ -14,12 +15,20 @@ import re
 from fractions import Fraction as Fr
 from functools import lru_cache
 
-from .lie import DegreeCapError, LieContext, get_context
+from .lie import (DegreeCapError, LieContext, LieElement, get_context, t_exp,
+                  t_log, t_mul)
 
 # A letter is (kind, index, sign) with kind "a"/"b", index 1..g, sign +-1.
 _TOKEN = re.compile(r"([ab])([1-9][0-9]*)([+-])")
 
 EXPANSION_MAX_DEGREE = 4  # the stored expansion is undefined beyond degree 4
+
+
+def _check_expansion_degree(degree):
+    """Refuse a truncation degree beyond the stored expansion."""
+    if degree > EXPANSION_MAX_DEGREE:
+        raise DegreeCapError("the expansion is unspecified beyond degree "
+                             f"{EXPANSION_MAX_DEGREE}")
 
 
 class WordParseError(ValueError):
@@ -115,10 +124,10 @@ class ExpansionTable:
     """
 
     def __init__(self, ctx: LieContext):
-        if ctx.max_degree > EXPANSION_MAX_DEGREE:
-            raise DegreeCapError("the expansion is unspecified beyond degree "
-                                 f"{EXPANSION_MAX_DEGREE}")
+        _check_expansion_degree(ctx.max_degree)
         self.ctx = ctx
+        # (kind, index, sign) -> (letter value it was computed from, its exp)
+        self._exp = {}
         g = ctx.genus
         a = [None] + [ctx.gen_a(i) for i in range(1, g + 1)]
         b = [None] + [ctx.gen_b(i) for i in range(1, g + 1)]
@@ -149,13 +158,30 @@ class ExpansionTable:
         val = self.theta_alpha[index] if kind == "a" else self.theta_beta[index]
         return val if sign > 0 else -val
 
+    def letter_exp(self, kind, index, sign):
+        """exp of the letter value in the truncated tensor algebra, computed
+        once per letter and sign.  An entry is recomputed when its letter
+        value in `theta_alpha`/`theta_beta` has been replaced since."""
+        value = self.letter_value(kind, index, 1)
+        key = (kind, index, sign)
+        hit = self._exp.get(key)
+        if hit is None or hit[0] is not value:
+            signed = value if sign > 0 else -value
+            hit = (value, t_exp(signed.to_tensor(), self.ctx.max_degree))
+            self._exp[key] = hit
+        return hit[1]
+
 
 def theta(word, table):
-    """Value of the symplectic expansion on a group word (left-to-right BCH fold)."""
-    res = table.ctx.zero()
+    """Value of the symplectic expansion on a group word: the group-like
+    product log(exp theta(l_1) ... exp theta(l_n)), which equals the
+    left-to-right BCH fold of the letter values."""
+    ctx = table.ctx
+    cap = ctx.max_degree
+    prod = {(): Fr(1)}
     for kind, index, sign in word.letters:
-        res = res.bch(table.letter_value(kind, index, sign))
-    return res
+        prod = t_mul(prod, table.letter_exp(kind, index, sign), cap)
+    return LieElement(ctx, ctx.decompose(t_log(prod, cap)))
 
 
 def symplectic_check(table):
@@ -166,4 +192,7 @@ def symplectic_check(table):
 
 @lru_cache(maxsize=None)
 def get_table(genus, max_degree) -> ExpansionTable:
+    # The expansion cap comes before the Lie layer's class cap, so every
+    # degree above 4 is refused with the expansion's own wording.
+    _check_expansion_degree(max_degree)
     return ExpansionTable(get_context(genus, max_degree))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -43,11 +44,13 @@ def test_theta_parse_error_exit2(capsys):
     ["compose", "a1+b1+a1-b1-"],
 ], ids=["theta", "theorem-b", "symplectic", "compose"])
 def test_degree_cap_exit3(capsys, argv):
-    # the expansion table owns the cap, so every command refuses alike
-    code, out, err = run(capsys, *argv, "--degree", "5")
-    assert code == 3 and out == ""
-    assert err == ("capability error: the expansion is unspecified beyond "
-                   "degree 4\n")
+    # the expansion cap is checked before any context is built, so every
+    # command refuses alike, also above the Lie layer's class cap
+    for degree in ("5", "6"):
+        code, out, err = run(capsys, *argv, "--degree", degree)
+        assert code == 3 and out == ""
+        assert err == ("capability error: the expansion is unspecified beyond "
+                       "degree 4\n")
 
 
 def test_theta_json(capsys):
@@ -185,6 +188,20 @@ def test_compose_unreadable_spec_names_the_file(tmp_path, capsys):
     # an inline lift word is still a twist
     code, out, _ = run(capsys, "compose", "a1+b1+a1-b1-", "--degree", "3")
     assert code == 0 and "degrees 2..3" in out
+
+
+@pytest.mark.parametrize("genus, digest", [
+    (3, "8fed40dbbe00b74cab49df6baf2eacff40932be6fe889df5fa3f3a77ce821604"),
+    (4, "3418495cb9fdbbc38e10a45743033e6060aad09950e35ee044afe5c6cb17315e"),
+    (5, "63d91bbcb6bd7f00e5d12c05031c0a17791d2179ebfb68d2103130210d9bb516"),
+], ids=["genus3", "genus4", "genus5"])
+def test_theorem_b_json_bytes_are_pinned(genus, digest):
+    # a cold run in a fresh interpreter, against the bytes of the reference
+    # implementation (BCH-folded theta, unmemoized tree evaluation)
+    run = run_python("-m", "torelli.cli", "verify", "theorem-b",
+                     "--genus", str(genus), "--format", "json")
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
 
 def _cli_subprocess(*argv, optimize=False):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SEED, rand_null_word, rand_word, twist_pool
-from torelli.lie import get_context
+from torelli.lie import MAX_CLASS, LieContext, get_context
 from torelli.mcg import (BoundingPairMap, Commutator, GradedValue, Inverse,
                          NotInFiltration, Product, SeparatingTwist,
                          WindowUnderflow, bounding_pair_value, build_phi,
@@ -408,6 +408,19 @@ def test_tr3_kills_johnson_image(rng):
 def test_theorem_b_report_passes(table3):
     stages, rep = theorem_b_report(table3)
     assert all(s["ok"] for s in stages), [s for s in stages if not s["ok"]]
+
+
+def test_tree_memo_matches_fresh_evaluation(table3):
+    # from_tree hands out shared memoized elements: after a full report none
+    # of them may have been mutated by a caller
+    theorem_b_report(table3)
+    checked = 0
+    for degree in range(1, MAX_CLASS + 1):
+        fresh = LieContext(3, degree)
+        for tree, value in get_context(3, degree)._tree_memo.items():
+            assert value.terms == fresh.from_tree(tree).terms, tree
+            checked += 1
+    assert checked
 
 
 def test_phi_r4_stable_at_degree4_table(table34):

@@ -186,6 +186,39 @@ def test_component_basis_dimension():
     assert count == 18
 
 
+def _component_basis_by_letter(genus, degree, md):
+    """component_basis as one filter of every Lyndon word per letter h."""
+    ctx = get_context(genus, degree + 1)
+    out = []
+    for h in range(1, 2 * genus + 1):
+        if md[h - 1] == 0:
+            continue
+        rest = list(md)
+        rest[h - 1] -= 1
+        for w in ctx.lyndon_basis(degree + 1):
+            counts = [0] * (2 * genus)
+            for letter in w:
+                counts[letter - 1] += 1
+            if counts == rest:
+                out.append((h, w))
+    return tuple(out)
+
+
+def test_component_basis_matches_per_letter_filter(rng):
+    cases = [(genus, degree, md) for genus in (1, 2) for degree in (1, 2, 3)
+             for md in all_multidegrees(genus, degree + 2)]
+    for genus in (3, 4):
+        for _ in range(10):
+            degree = rng.randint(1, 4)
+            md = [0] * (2 * genus)
+            for _ in range(degree + 2):
+                md[rng.randrange(2 * genus)] += 1
+            cases.append((genus, degree, tuple(md)))
+    for genus, degree, md in cases:
+        assert (component_basis(genus, degree, md)
+                == _component_basis_by_letter(genus, degree, md)), md
+
+
 def test_degree4_lattice_membership_examples():
     genus = 2
     md = (2, 2, 1, 1)

@@ -116,6 +116,34 @@ def test_symplectic_check_detects_perturbation():
     assert not symplectic_check(table)
 
 
+def test_letter_exponentials_follow_a_replaced_letter_value():
+    # theta caches exp of each letter value on the table; replacing a letter
+    # value after a theta call must not leave a stale exponential behind
+    table = ExpansionTable(get_context(3, 3))
+    assert symplectic_check(table)
+    table.theta_alpha[1] = (table.theta_alpha[1]
+                            + table.ctx.monomial((1, 2), Fraction(1, 2)))
+    assert not symplectic_check(table)
+
+
+def _bch_fold(word, table):
+    """theta as the left-to-right BCH fold of the letter values (reference)."""
+    res = table.ctx.zero()
+    for kind, index, sign in word.letters:
+        res = res.bch(table.letter_value(kind, index, sign))
+    return res
+
+
+def test_theta_equals_bch_fold(rng):
+    for genus in (1, 2, 3):
+        for degree in (1, 2, 3, 4):
+            table = get_table(genus, degree)
+            words = [GroupWord(), parse_word("a1-"), parse_word("b1-a1+b1+")]
+            words += [rand_word(genus, rng, rng.randint(1, 5)) for _ in range(6)]
+            for w in words:
+                assert theta(w, table).terms == _bch_fold(w, table).terms, w
+
+
 def test_table_rejects_degree_five():
     with pytest.raises(DegreeCapError, match="unspecified beyond degree 4"):
         ExpansionTable(get_context(2, 5))
