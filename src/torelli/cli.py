@@ -28,6 +28,10 @@ _SPEC_MAX_DEPTH = 100
 # orbit closure grows faster than that rank (a cold run took 44 s at genus 10
 # and 90 s at genus 11 on a 2-core x86-64 machine with Python 3.11).
 _SP_KERNEL_MAX_GENUS = 10
+# Largest --max-genus of verify lower-bounds: each genus lists the Lyndon
+# words of L_3 on 2g letters, and the cached lists for genus 2..30 peak at
+# about 60 MB (growing like the sum of (2g)^3 / 3 words).
+_LOWER_BOUNDS_MAX_GENUS = 30
 
 
 class _Out:
@@ -288,6 +292,10 @@ def cmd_verify_lower_bounds(args, out):
     if args.max_genus < 2:
         raise DegreeCapError("genus out of range: the bounds start at genus 2, "
                              f"got --max-genus {args.max_genus}")
+    if args.max_genus > _LOWER_BOUNDS_MAX_GENUS:
+        raise DegreeCapError("the bounds are checked up to genus "
+                             f"{_LOWER_BOUNDS_MAX_GENUS}, got --max-genus "
+                             f"{args.max_genus}")
     ok = True
     for g in range(2, args.max_genus + 1):
         bordered, closed = lower_bound_exponents(g)

@@ -26,10 +26,10 @@ from functools import lru_cache, reduce
 from .exact_linalg import rational_rank, solve_rational_combination
 from .lie import (ContextMismatch, DegreeCapError, LieElement, get_context,
                   standard_bracketing, t_add_into)
-from .sp_mod2 import tree_mod2_bits
+from .sp_mod2 import project_l3_to_a, tree_mod2_bits
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees,
                     diagram_rows, join, mod1_class_is_zero, omega_pairing,
-                    project_l3_to_a, varpi)
+                    varpi)
 from .words import EXPANSION_MAX_DEGREE, comm, conjugate, parse_word, theta
 
 CAP = EXPANSION_MAX_DEGREE  # the calculus stops where the stored expansion does
@@ -93,8 +93,6 @@ class GradedValue:
     def __neg__(self):
         # the BCH inverse is plain negation
         return self * -1
-
-    inverse = __neg__
 
     def __mul__(self, scalar):
         c = Fraction(scalar)
@@ -312,7 +310,7 @@ def factor_value(table, factor):
         by = factor_value(table, factor.by)
         return factor_value(table, factor.arg).conjugate_by(by)
     if isinstance(factor, Inverse):
-        return factor_value(table, factor.arg).inverse()
+        return -factor_value(table, factor.arg)
     raise TypeError(f"unknown factor {factor!r}")
 
 

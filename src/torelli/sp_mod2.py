@@ -1,6 +1,6 @@
 """The mod-2 symplectic module structure of degree 3: the action of Sp(H) on
-L_3 tensor GF(2), the contraction to H tensor GF(2), and the orbit-span
-computation identifying its kernel.
+L_3 tensor GF(2), the contraction to H tensor GF(2), the orbit-span
+computation identifying its kernel, and the projection killing the b letters.
 
 Vectors over GF(2) are bit-packed ints.  An element of L_3 mod 2 is a bitmask
 over the degree-3 Lyndon basis; an element of H mod 2 is a bitmask over the
@@ -15,9 +15,11 @@ from .exact_linalg import gf2_apply, gf2_kernel, gf2_span_closure
 from .lie import get_context, witt_rank
 
 
-def _omega2(genus, x, y):
-    """Mod-2 intersection pairing on letters."""
-    return 1 if abs(x - y) == genus else 0
+def _pair(genus, x, y):
+    """Mod-2 intersection pairing of two letter masks: the parity of the
+    a_i, b_i pairs split between them (a_i is bit i-1, b_i bit g+i-1)."""
+    low = (1 << genus) - 1
+    return (x & ((y & low) << genus | y >> genus)).bit_count() & 1
 
 
 class SpTransformation:
@@ -40,18 +42,11 @@ class SpTransformation:
             if mask >> n:
                 raise ValueError(f"image {mask:#b} is not a mask over the "
                                  f"{n} letters")
-        for x in range(1, n + 1):
-            for y in range(x + 1, n + 1):
-                if self._pair(self.images[x - 1], self.images[y - 1]) != \
-                        _omega2(genus, x, y):
+        for x in range(n):
+            for y in range(x + 1, n):
+                if _pair(genus, self.images[x], self.images[y]) != \
+                        _pair(genus, 1 << x, 1 << y):
                     raise ValueError("map is not symplectic mod 2")
-
-    def _pair(self, mask_x, mask_y):
-        total = 0
-        for p in _bits(mask_x):
-            for q in _bits(mask_y):
-                total ^= _omega2(self.genus, p, q)
-        return total
 
     def __eq__(self, other):
         return (isinstance(other, SpTransformation)
@@ -85,13 +80,9 @@ def _mask(letters):
 def transvection(genus, letters):
     """T_x for x the sum of the given letters: h |-> h + omega(x, h) x."""
     x = _mask(letters)
-    images = []
-    for h in range(1, 2 * genus + 1):
-        w = 0
-        for p in _bits(x):
-            w ^= _omega2(genus, p, h)
-        images.append((1 << (h - 1)) ^ (x if w else 0))
-    return SpTransformation(genus, images)
+    units = [1 << i for i in range(2 * genus)]
+    return SpTransformation(genus, [h ^ x if _pair(genus, x, h) else h
+                                    for h in units])
 
 
 # --- the action on L_3 mod 2 -------------------------------------------------
@@ -130,20 +121,30 @@ def tree_mod2_bits(genus, tree):
 
 
 @lru_cache(maxsize=None)
+def _l3_triples(genus):
+    """Each basis word of L_3 as a left-normed triple (a, b, c) = [[a,b],c]
+    mod 2: a bracketing [x,[y,z]] is read as [[y,z],x], its negative."""
+    ctx = get_context(genus, 3)
+    out = []
+    for w in _l3_words(genus):
+        left, right = ctx.bracketing(w)
+        out.append(left + (right,) if isinstance(left, tuple)
+                   else right + (left,))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def action_matrix(transformation):
     """Basis-image list of the transformation acting on L_3 mod 2."""
     g = transformation.genus
-    ctx = get_context(g, 3)
     images = transformation.images
     out = []
-    for w in _l3_words(g):
-        left_normed = isinstance(ctx.bracketing(w)[0], tuple)
+    for a, b, c in _l3_triples(g):
         acc = 0
-        for x in _bits(images[w[0] - 1]):
-            for y in _bits(images[w[1] - 1]):
-                for z in _bits(images[w[2] - 1]):
-                    tree = ((x, y), z) if left_normed else (x, (y, z))
-                    acc ^= tree_mod2_bits(g, tree)
+        for x in _bits(images[a - 1]):
+            for y in _bits(images[b - 1]):
+                for z in _bits(images[c - 1]):
+                    acc ^= tree_mod2_bits(g, ((x, y), z))
         out.append(acc)
     return tuple(out)
 
@@ -154,21 +155,10 @@ def action_matrix(transformation):
 def _stigma_matrix(genus):
     """Images of the L_3 basis under [[a,b],c] |-> w(b,c) a + w(a,c) b."""
     out = []
-    for w in _l3_words(genus):
-        tree = get_context(genus, 3).bracketing(w)
-        if isinstance(tree[0], tuple):
-            triples = [tree[0] + (tree[1],)]
-        else:
-            # [x,[y,z]] = [[x,y],z] + [[x,z],y] mod 2 (Jacobi; signs drop)
-            x, (y, z) = tree
-            triples = [(x, y, z), (x, z, y)]
-        acc = 0
-        for (a, b, c) in triples:
-            if _omega2(genus, b, c):
-                acc ^= 1 << (a - 1)
-            if _omega2(genus, a, c):
-                acc ^= 1 << (b - 1)
-        out.append(acc)
+    for triple in _l3_triples(genus):
+        a, b, c = (1 << (letter - 1) for letter in triple)
+        out.append((a if _pair(genus, b, c) else 0)
+                   ^ (b if _pair(genus, a, c) else 0))
     return tuple(out)
 
 
@@ -250,3 +240,17 @@ def lower_bound_exponents(genus):
     bordered = witt_rank(2 * genus, 3) - 2 * genus
     closed = witt_rank(genus, 3) - genus
     return bordered, closed
+
+
+def project_l3_to_a(genus, bits):
+    """Image of an L_3 mod-2 class under killing every b generator.
+
+    Words using a b letter die.  The pure a-words survive in basis order, and
+    in that order they are the Lyndon basis of L_3 on the a generators.
+    """
+    out, k = 0, 0
+    for i, w in enumerate(_l3_words(genus)):
+        if max(w) <= genus:
+            out |= (bits >> i & 1) << k
+            k += 1
+    return out

@@ -277,13 +277,9 @@ class DerivationElement(SparseCombination):
         return LieElement(ctx, {w: s * c for (k, w), c in self.terms.items()
                                 if k == h})
 
-    def apply(self, x):
-        """Apply the derivation to a Lie element (Leibniz over bracketing trees)."""
-        return self.apply_in(x.ctx, x)
-
     def _apply_tree(self, ctx, values, tree):
         if isinstance(tree, int):
-            return values[tree].truncated(ctx.max_degree)
+            return values[tree]
         left = ctx.from_tree(tree[0])
         right = ctx.from_tree(tree[1])
         dl = self._apply_tree(ctx, values, tree[0])
@@ -534,30 +530,6 @@ def varpi(v):
         for coeff, u in zip(combo[len(rows) - len(half_trees):], half_trees):
             if coeff % 2:
                 out ^= tree_mod2_bits(g, u)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _a_quotient_basis(genus):
-    """Lyndon words of length 3 in the a-letters only (the quotient by all b_i)."""
-    ctx = get_context(genus, 3)
-    return tuple(w for w in ctx.lyndon_basis(3) if all(l <= genus for l in w))
-
-
-def project_l3_to_a(genus, bits):
-    """Image of an L_3 mod-2 class under killing every b generator.
-
-    Words using a b letter die; pure a-words survive and form the Lyndon basis
-    of the free Lie algebra on the a generators.
-    """
-    ctx = get_context(genus, 3)
-    basis = ctx.lyndon_basis(3)
-    abasis = _a_quotient_basis(genus)
-    aindex = {w: i for i, w in enumerate(abasis)}
-    out = 0
-    for i, w in enumerate(basis):
-        if (bits >> i) & 1 and w in aindex:
-            out ^= 1 << aindex[w]
     return out
 
 

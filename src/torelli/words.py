@@ -149,8 +149,8 @@ class ExpansionTable:
                   - om[i].bracket(b[i]).bracket(b[i]) * Fr(1, 24)
                   + b[i].bracket(lower) * Fr(1, 2)
                   + lower.bracket(om[i]) * Fr(1, 4))
-            self.theta_alpha.append(ta.truncated(ctx.max_degree))
-            self.theta_beta.append(tb.truncated(ctx.max_degree))
+            self.theta_alpha.append(ta)
+            self.theta_beta.append(tb)
 
     def letter_value(self, kind, index, sign):
         if not 1 <= index <= self.ctx.genus:

@@ -16,11 +16,11 @@ from torelli.lie import get_context, witt_rank
 from torelli.mcg import (BoundingPairMap, SeparatingTwist, bounding_pair_value,
                          build_phi, d_bar, d_hom, d_prime, phi_data, r_mod1,
                          reference_theta_values, tr3, twist_value)
-from torelli.sp_mod2 import (lower_bound_exponents, tree_mod2_bits,
-                             verify_kernel_lemma)
+from torelli.sp_mod2 import (lower_bound_exponents, project_l3_to_a,
+                             tree_mod2_bits, verify_kernel_lemma)
 from torelli.trees import (congruent_mod_trees, join, lcst_component_diagonal,
                            lcst_full_diagonals, mod1_class_is_zero,
-                           project_l3_to_a, tree_lattice, varpi)
+                           tree_lattice, varpi)
 from torelli.words import comm, get_table, parse_word, symplectic_check, theta
 
 

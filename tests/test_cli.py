@@ -204,6 +204,21 @@ def test_theorem_b_json_bytes_are_pinned(genus, digest):
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["sp-kernel", "--genus", "5"],
+     "cad2dffa47eed38aa0462e024598eae5ae7b9a5b1acfb3e06fcd3433e498e09d"),
+    (["sp-kernel", "--genus", "6"],
+     "946e7b3ae184d0517017b0040c98b5ef330f1de98cb6a995a45b5ea2a176993b"),
+    (["lcst", "--genus", "2"],
+     "3c49cd5a93c854467e1bf1f6d7ca234ada61422916e01da41794a69ed2982ee7"),
+], ids=["sp-kernel-genus5", "sp-kernel-genus6", "lcst-genus2"])
+def test_verify_json_bytes_are_pinned(argv, digest):
+    # as above, for the GF(2) orbit span and the full degree-4 quotient
+    run = run_python("-m", "torelli.cli", "verify", *argv, "--format", "json")
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
+
+
 def _cli_subprocess(*argv, optimize=False):
     return run_python("-m", "torelli.cli", *argv, optimize=optimize)
 
@@ -264,6 +279,7 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "lcst", "--genus", "0"],
     ["verify", "lower-bounds", "--max-genus", "1"],
     ["verify", "lower-bounds", "--max-genus", "-1"],
+    ["verify", "lower-bounds", "--max-genus", "31"],
 ])
 def test_out_of_range_genus_exit3(argv):
     run = _cli_subprocess(*argv)
@@ -295,6 +311,17 @@ def test_sp_kernel_limit_refused_before_work(capsys, monkeypatch):
                          str(cli._SP_KERNEL_MAX_GENUS + 1))
     assert code == 3 and out == ""
     assert f"up to genus {cli._SP_KERNEL_MAX_GENUS}" in err
+
+
+def test_lower_bounds_limit_refused_before_work(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("lower-bounds started work above its genus limit")
+    monkeypatch.setattr(cli, "lower_bound_exponents", work)
+    monkeypatch.setattr(cli, "get_context", work)
+    code, out, err = run(capsys, "verify", "lower-bounds", "--max-genus",
+                         str(cli._LOWER_BOUNDS_MAX_GENUS + 1))
+    assert code == 3 and out == ""
+    assert f"up to genus {cli._LOWER_BOUNDS_MAX_GENUS}" in err
 
 
 def test_determinism(capsys):

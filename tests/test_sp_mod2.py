@@ -4,12 +4,119 @@ import pytest
 
 from conftest import SEED, run_python
 from torelli.exact_linalg import gf2_apply
-from torelli.lie import witt_rank
+from torelli.lie import get_context, witt_rank
 from torelli.sp_mod2 import (SpTransformation, action_matrix,
                              lower_bound_exponents, omega_bracket_bits,
-                             orbit_span, standard_generators, stigma,
-                             stigma_kernel, transvection, tree_mod2_bits,
-                             verify_kernel_lemma, verify_ses)
+                             orbit_span, project_l3_to_a, standard_generators,
+                             stigma, stigma_kernel, transvection,
+                             tree_mod2_bits, verify_kernel_lemma, verify_ses)
+
+
+# --- oracles: the letter-by-letter forms of the mask primitives ---------------
+
+def _letters(mask):
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _omega_sum(genus, x, y):
+    """The mod-2 pairing of two masks as a sum of letter pairings."""
+    return sum(abs(p - q) == genus
+               for p in _letters(x) for q in _letters(y)) % 2
+
+
+def _humphries_classes(g):
+    classes = [(1,), (g + 1,)]
+    for i in range(2, g + 1):
+        classes += [(i - 1, i), (g + i,)]
+    return classes + ([(2,)] if g >= 2 else [])
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_transvection_against_letter_pairing(g):
+    # T_x(h) = h + omega(x, h) x with omega summed letter by letter
+    rng = random.Random(SEED + g)
+    n = 2 * g
+    masks = [sum(1 << (p - 1) for p in c) for c in _humphries_classes(g)]
+    masks += [rng.getrandbits(n) for _ in range(20)]
+    gens = [t.images for t in standard_generators(g)]
+    assert gens == [transvection(g, c).images for c in _humphries_classes(g)]
+    for x in masks:
+        expected = [(1 << i) ^ (x if _omega_sum(g, x, 1 << i) else 0)
+                    for i in range(n)]
+        assert list(transvection(g, _letters(x)).images) == expected
+    # the symplectic check of SpTransformation uses the same pairing: the
+    # identity with a_1 sent to x is symplectic only for x = a_1 or a_1 + b_1
+    for x in masks:
+        images = [x] + [1 << i for i in range(1, n)]
+        symplectic = all(_omega_sum(g, images[i], images[j])
+                         == _omega_sum(g, 1 << i, 1 << j)
+                         for i in range(n) for j in range(i + 1, n))
+        if symplectic:
+            SpTransformation(g, images)
+        else:
+            with pytest.raises(ValueError, match="not symplectic"):
+                SpTransformation(g, images)
+
+
+def _jacobi_stigma_matrix(genus):
+    """[[a,b],c] |-> w(b,c) a + w(a,c) b on each standard bracketing, with a
+    right-normed [x,[y,z]] split as [[x,y],z] + [[x,z],y] mod 2."""
+    ctx = get_context(genus, 3)
+    out = []
+    for w in ctx.lyndon_basis(3):
+        tree = ctx.bracketing(w)
+        if isinstance(tree[0], tuple):
+            triples = [tree[0] + (tree[1],)]
+        else:
+            x, (y, z) = tree
+            triples = [(x, y, z), (x, z, y)]
+        acc = 0
+        for a, b, c in triples:
+            if abs(b - c) == genus:
+                acc ^= 1 << (a - 1)
+            if abs(a - c) == genus:
+                acc ^= 1 << (b - 1)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_stigma_against_jacobi_matrix(g):
+    for i, expected in enumerate(_jacobi_stigma_matrix(g)):
+        assert stigma(g, 1 << i) == expected
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_action_matrix_against_standard_bracketing(g):
+    # each basis word's image evaluated on its own bracketing shape
+    ctx = get_context(g, 3)
+    for t in standard_generators(g):
+        expected = []
+        for w in ctx.lyndon_basis(3):
+            left_normed = isinstance(ctx.bracketing(w)[0], tuple)
+            acc = 0
+            for x in _letters(t.images[w[0] - 1]):
+                for y in _letters(t.images[w[1] - 1]):
+                    for z in _letters(t.images[w[2] - 1]):
+                        acc ^= tree_mod2_bits(
+                            g, ((x, y), z) if left_normed else (x, (y, z)))
+            expected.append(acc)
+        assert list(action_matrix(t)) == expected
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_project_l3_to_a_against_index_dict(g):
+    basis = get_context(g, 3).lyndon_basis(3)
+    abasis = [w for w in basis if all(letter <= g for letter in w)]
+    aindex = {w: i for i, w in enumerate(abasis)}
+    rng = random.Random(SEED + g)
+    for _ in range(30):
+        bits = rng.getrandbits(len(basis))
+        expected = 0
+        for i, w in enumerate(basis):
+            if bits >> i & 1 and w in aindex:
+                expected ^= 1 << aindex[w]
+        assert project_l3_to_a(g, bits) == expected
 
 
 def test_transvection_action_example():

@@ -10,14 +10,14 @@ from conftest import (SEED, independent_eta, rand_homogeneous, rand_tree_sum,
                       run_python)
 from torelli.exact_linalg import hnf, rational_rank
 from torelli.lie import ContextMismatch, get_context, witt_rank
-from torelli.sp_mod2 import tree_mod2_bits
+from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, all_multidegrees,
                            basis_colored_trees, canonical_tree, component_basis,
                            congruent_mod_trees, degree4_presentation,
                            half_symmetric_generators, join,
                            lcst_component_diagonal, lcst_full_diagonals,
-                           mod1_class_is_zero, odbar_reduce, project_l3_to_a,
-                           tree_lattice, varpi)
+                           mod1_class_is_zero, odbar_reduce, tree_lattice,
+                           varpi)
 
 
 def test_join_single_monomials():
@@ -467,7 +467,7 @@ def test_bracket_multidegrees_are_predictable(rng):
 
 def test_eta_images_annihilate_omega(rng):
     # as derivations of the free Lie algebra, eta images kill the symplectic
-    # element: a route through apply() independent of the bracket-map test
+    # element: a route through apply_in() independent of the bracket-map test
     for _ in range(50):
         genus = 2
         ts = rand_tree_sum(genus, rng, rng.choice((1, 2)))
