@@ -9,9 +9,9 @@ from .lie import (LieContext, LieElement, get_context, ideal_omega_component,
                   witt_rank)
 from .mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
                   Inverse, Product, SeparatingTwist, bounding_pair_value,
-                  build_phi, compose_values, d_bar, d_hom, d_prime,
-                  factor_value, genus_of_lift, r_circ_mod1, r_mod1, tau,
-                  theorem_b_report, tr3, twist_value)
+                  build_phi, casson_values, compose_values, factor_value,
+                  genus_of_lift, r_circ_mod1, r_mod1, tau, theorem_b_report,
+                  tr3, twist_value)
 from .sp_mod2 import (SpTransformation, lower_bound_exponents, stigma,
                       verify_kernel_lemma, verify_ses)
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees, join,

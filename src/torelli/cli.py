@@ -28,6 +28,13 @@ _SPEC_MAX_DEPTH = 100
 # orbit closure grows faster than that rank (a cold run took 44 s at genus 10
 # and 90 s at genus 11 on a 2-core x86-64 machine with Python 3.11).
 _SP_KERNEL_MAX_GENUS = 10
+# Largest genus of the commands that build degree-4 lattices (verify
+# theorem-b, verify lcst --md, R): each lists the Lyndon words of degree 5 on
+# 2g letters, about (2g)^5 / 5 of them.  Cold verify theorem-b took 1.9 s and
+# 79 MB at genus 10, 4.0 s and 170 MB at genus 12 and 6.5 s and 246 MB at
+# genus 13 (R of one twist: 8.2 s and 170 MB at genus 12) on a 2-core x86-64
+# machine with Python 3.11.
+_DEGREE4_MAX_GENUS = 12
 # Largest --max-genus of verify lower-bounds: each genus lists the Lyndon
 # words of L_3 on 2g letters, and the cached lists for genus 2..30 peak at
 # about 60 MB (growing like the sum of (2g)^3 / 3 words).
@@ -51,6 +58,12 @@ class _Out:
         if self.fmt == "json":
             json.dump(self.records, sys.stdout, indent=2)
             print()
+
+
+def _require_degree4_genus(genus):
+    if genus > _DEGREE4_MAX_GENUS:
+        raise DegreeCapError("the degree-4 lattices are computed up to genus "
+                             f"{_DEGREE4_MAX_GENUS}, got genus {genus}")
 
 
 def _table(args):
@@ -197,6 +210,7 @@ def cmd_compose(args, out):
 
 
 def cmd_r(args, out):
+    _require_degree4_genus(args.genus)
     factor = _load_spec(args.spec)
     if args.degree is None:
         args.degree = 4
@@ -234,6 +248,7 @@ def cmd_verify_symplectic(args, out):
 def cmd_verify_theorem_b(args, out):
     if args.genus < 3:
         raise DegreeCapError("the construction needs genus >= 3")
+    _require_degree4_genus(args.genus)
     stages, _rep = theorem_b_report(_table(args))
     ok = True
     for s in stages:
@@ -245,6 +260,7 @@ def cmd_verify_theorem_b(args, out):
 def cmd_verify_lcst(args, out):
     g = args.genus
     if args.md:
+        _require_degree4_genus(g)
         md = tuple(int(x) for x in args.md.split(","))
         if len(md) != 2 * g or sum(md) != 6 or any(c < 0 for c in md):
             raise ValueError("multidegree must be 2g nonnegative counts summing to 6")

@@ -342,15 +342,9 @@ def tau_is_integral(dv):
     """Whether a Johnson value lies in the integral symplectic derivation
     lattice: integer coefficients, and annihilated by the bracket map
     (degree <= 3) or inside the degree-4 lattice presentation."""
-    if not dv.is_integral():
-        return False
     if dv.degree <= 3:
-        return dv.is_symplectic()
-    try:
-        varpi(dv)
-    except ValueError:
-        return False
-    return True
+        return dv.is_integral() and dv.is_symplectic()
+    return varpi(dv) is not None
 
 
 def _odd_denominators(dv):
@@ -369,10 +363,6 @@ class RResult:
         self.is_zero = is_zero
         self.failing_multidegrees = failing
         self.odd_denominators = odd_denominators
-
-    def varpi_bits(self):
-        """The mod-2 cokernel class (needs an integral degree-4 derivation)."""
-        return varpi(self.derivation)
 
     def __repr__(self):
         verdict = "zero" if self.is_zero else "nonzero"
@@ -419,69 +409,43 @@ def genus_of_lift(table, lift):
     return rank // 2
 
 
-def d_twist(h):
-    """Casson-core value on a separating twist of genus h."""
-    return 4 * h * (h - 1)
-
-
-def d_prime_twist(h):
-    return h * (2 * h + 1)
-
-
 def casson_values(table, factor):
-    """(d, d') of a factor expression, or None where the rules cannot decide.
+    """(d, d', dbar) of a factor expression, or None where the rules cannot
+    decide; dbar is the closed-surface combination -(1+2g)/12 d + (g-1)/3 d'.
 
-    Rules: both are homomorphisms on the kernel, invariant under conjugation
-    by the whole mapping class group; hence commutators with a decided side
-    vanish and conjugation is transparent.  Bounding-pair maps are outside the
-    kernel and carry no value.
+    On a twist of genus h the triple is power * (4h(h-1), h(2h+1), h(g-h)),
+    the combination reducing to h(g-h).  Rules: all three are homomorphisms
+    on the kernel, invariant under conjugation by the whole mapping class
+    group; hence commutators with a decided side vanish and conjugation is
+    transparent.  Bounding-pair maps are outside the kernel and carry no
+    value.
     """
     if isinstance(factor, SeparatingTwist):
         h = genus_of_lift(table, factor.lift)
-        return (factor.power * d_twist(h), factor.power * d_prime_twist(h))
+        g = table.ctx.genus
+        return tuple(factor.power * v
+                     for v in (4 * h * (h - 1), h * (2 * h + 1), h * (g - h)))
     if isinstance(factor, Product):
-        total = (0, 0)
+        total = (0, 0, 0)
         for f in factor.factors:
             v = casson_values(table, f)
             if v is None:
                 return None
-            total = (total[0] + v[0], total[1] + v[1])
+            total = tuple(x + y for x, y in zip(total, v))
         return total
     if isinstance(factor, Inverse):
         v = casson_values(table, factor.arg)
-        return None if v is None else (-v[0], -v[1])
+        return None if v is None else tuple(-x for x in v)
     if isinstance(factor, Conjugate):
         return casson_values(table, factor.arg)
     if isinstance(factor, Commutator):
         if (casson_values(table, factor.left) is not None
                 or casson_values(table, factor.right) is not None):
-            return (0, 0)
+            return (0, 0, 0)
         return None
     if isinstance(factor, BoundingPairMap):
         return None
     raise TypeError(f"unknown factor {factor!r}")
-
-
-def d_hom(table, factor):
-    v = casson_values(table, factor)
-    return None if v is None else v[0]
-
-
-def d_prime(table, factor):
-    v = casson_values(table, factor)
-    return None if v is None else v[1]
-
-
-def d_bar(table, factor):
-    """The closed-surface combination -(1+2g)/12 d + (g-1)/3 d'."""
-    v = casson_values(table, factor)
-    if v is None:
-        return None
-    g = table.ctx.genus
-    val = Fraction(-(1 + 2 * g), 12) * v[0] + Fraction(g - 1, 3) * v[1]
-    if val.denominator != 1:
-        raise ValueError(f"dbar value {val} is not an integer")
-    return val.numerator
 
 
 # --- the degree-3 trace -----------------------------------------------------
@@ -549,10 +513,15 @@ def phi_data(genus):
     }
 
 
+def _handle_generators(ctx):
+    """[None, a1, a2, a3] and [None, b1, b2, b3], indexed by handle."""
+    return ([None] + [ctx.gen_a(i) for i in range(1, 4)],
+            [None] + [ctx.gen_b(i) for i in range(1, 4)])
+
+
 def reference_theta_values(ctx):
     """The displayed degree <= 3 expansions of the four curve lifts."""
-    a = [None] + [ctx.gen_a(i) for i in range(1, 4)]
-    b = [None] + [ctx.gen_b(i) for i in range(1, 4)]
+    a, b = _handle_generators(ctx)
 
     def t3(x, y, z):
         return x.bracket(y).bracket(z)
@@ -572,8 +541,7 @@ def reference_theta_values(ctx):
 
 def reference_r3k_class(ctx):
     """The displayed degree-3 class of the twist word, mod integer diagrams."""
-    a = [None] + [ctx.gen_a(i) for i in range(1, 4)]
-    b = [None] + [ctx.gen_b(i) for i in range(1, 4)]
+    a, b = _handle_generators(ctx)
     s = (a[2].bracket(a[1]).bracket(a[1]) + a[1].bracket(a[2]).bracket(a[2])
          + b[1].bracket(a[1]).bracket(a[2]) + b[2].bracket(a[2]).bracket(a[1]))
     return join(a[3].bracket(b[3]), s) * Fraction(1, 2)
@@ -581,8 +549,7 @@ def reference_r3k_class(ctx):
 
 def reference_r2i_class(ctx):
     """The displayed degree-2 class of the bounding-pair word, mod diagrams."""
-    a = [None] + [ctx.gen_a(i) for i in range(1, 4)]
-    b = [None] + [ctx.gen_b(i) for i in range(1, 4)]
+    a, b = _handle_generators(ctx)
     terms = (join(a[2].bracket(a[1]), (a[1] + a[2]).bracket(a[3]))
              + join(b[1].bracket(a[1]), a[2].bracket(a[3]))
              + join((b[2] + a[3]).bracket(a[2]), a[1].bracket(a[3]))
@@ -630,7 +597,7 @@ def theorem_b_report(table):
 
     stage("r4-two-routes", rep["r4_direct_matches"],
           "commutator machinery matches the degreewise bracket formula")
-    stage("tau4-integral", tau_is_integral(rep["R"].derivation),
+    stage("tau4-integral", rep["varpi_bits"] is not None,
           "degree-4 value lies in the integral derivation lattice")
     stage("r4-class", rep["r4_congruent_to_half_double_tree"],
           "congruent to half the doubled tree on a1,a2,a3")
@@ -643,12 +610,14 @@ def theorem_b_report(table):
           and rep["closed_bits"] != 0,
           "projection to the a-letter quotient is the expected nonzero class")
 
-    phi = data["phi"]
-    stage("d-phi", d_hom(table, phi) == 0, "vanishes on the commutator")
-    stage("dbar-phi", d_bar(table, phi) == 0, "vanishes on the commutator")
-    spots = (d_hom(table, SeparatingTwist(data["gamma3"])),
-             d_prime(table, SeparatingTwist(data["gamma3"])),
-             d_bar(table, SeparatingTwist(data["gamma1"])))
+    d_phi = casson_values(table, data["phi"])
+    d3 = casson_values(table, SeparatingTwist(data["gamma3"]))
+    d1 = casson_values(table, SeparatingTwist(data["gamma1"]))
+    stage("d-phi", d_phi is not None and d_phi[0] == 0,
+          "vanishes on the commutator")
+    stage("dbar-phi", d_phi is not None and d_phi[2] == 0,
+          "vanishes on the commutator")
+    spots = (d3[0], d3[1], d1[2])
     expected_spots = (0, 3, 2 * (genus - 2))
     stage("d-spot-values", spots == expected_spots,
           f"computed {spots}, expected {expected_spots}")
@@ -670,7 +639,7 @@ def build_phi(table):
 
     tau1_i = tau(value_i, 1)
     tau2_k = tau(value_k, 2)
-    tau3_phi = _eta_or_zero(value_phi.part(3), genus, 3)
+    tau3_phi = tau(value_phi, 3)
 
     r4 = value_phi.part(4)
     result = r_mod1(value_phi)
@@ -683,8 +652,8 @@ def build_phi(table):
     u = ctx.gen_a(1).bracket(ctx.gen_a(2)).bracket(ctx.gen_a(3))
     target_tree = join(u, u) * Fraction(1, 2)
 
-    bits = result.varpi_bits()
-    closed_bits = project_l3_to_a(genus, bits)
+    bits = varpi(result.derivation)  # None outside the integral lattice
+    closed_bits = None if bits is None else project_l3_to_a(genus, bits)
     expected_bits = tree_mod2_bits(genus, ((1, 2), 3))
     expected_closed = project_l3_to_a(genus, expected_bits)
 

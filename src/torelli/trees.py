@@ -506,7 +506,8 @@ def congruent_mod_trees(v, w):
 
 
 def varpi(v):
-    """The mod-2 cokernel class of an integral degree-4 derivation element.
+    """The mod-2 cokernel class of a degree-4 derivation element, or None
+    when v lies outside the integral derivation lattice.
 
     Presents v as an integer combination of diagram generators and
     half-symmetric generators; the class is the sum of bracket(u) over the
@@ -517,7 +518,7 @@ def varpi(v):
     if v.degree != 4:
         raise ValueError(f"varpi needs degree 4, got degree {v.degree}")
     if not v.is_integral():
-        raise ValueError("varpi needs an integral element")
+        return None
     g = v.genus
     out = 0
     for md in v.multidegrees():
@@ -525,8 +526,7 @@ def varpi(v):
         target = [int(c) for c in v.component_vector(md)]
         combo = solve_integer_combination(rows, target, width=len(target))
         if combo is None:
-            raise ValueError(f"component {md} is outside the degree-4 "
-                             "derivation lattice")
+            return None
         for coeff, u in zip(combo[len(rows) - len(half_trees):], half_trees):
             if coeff % 2:
                 out ^= tree_mod2_bits(g, u)

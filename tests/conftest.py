@@ -168,6 +168,13 @@ def independent_eta(ts):
     return {d: DerivationElement(genus, d, acc) for d, acc in per_degree.items()}
 
 
+def twist_lifts(genus, count, seed=SEED):
+    """Deterministic random null-homologous twist lifts, the ones behind
+    twist_pool."""
+    rng = random.Random(seed)
+    return [rand_null_word(genus, rng) for _ in range(count)]
+
+
 _POOLS = {}
 
 
@@ -176,14 +183,7 @@ def twist_pool(genus, degree, count, seed=SEED):
     key = (genus, degree, count, seed)
     if key not in _POOLS:
         from torelli.mcg import SeparatingTwist, twist_value
-        rng = random.Random(seed)
         table = get_table(genus, degree)
-        out = []
-        while len(out) < count:
-            lift = rand_null_word(genus, rng)
-            try:
-                out.append(twist_value(table, SeparatingTwist(lift)))
-            except Exception:
-                continue
-        _POOLS[key] = out
+        _POOLS[key] = [twist_value(table, SeparatingTwist(lift))
+                       for lift in twist_lifts(genus, count, seed)]
     return _POOLS[key]

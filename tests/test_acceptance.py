@@ -14,7 +14,7 @@ from conftest import (ACCEPTANCE_LINES, SEED, rand_homogeneous, rand_lie,
                       rand_null_word, rand_tree_sum, rand_word, twist_pool)
 from torelli.lie import get_context, witt_rank
 from torelli.mcg import (BoundingPairMap, SeparatingTwist, bounding_pair_value,
-                         build_phi, d_bar, d_hom, d_prime, phi_data, r_mod1,
+                         build_phi, casson_values, phi_data, r_mod1,
                          reference_theta_values, tr3, twist_value)
 from torelli.sp_mod2 import (lower_bound_exponents, project_l3_to_a,
                              tree_mod2_bits, verify_kernel_lemma)
@@ -83,11 +83,10 @@ def test_criterion_06_casson_homomorphisms():
     table = get_table(3, 3)
     data = phi_data(3)
     phi = data["phi"]
-    spots = (d_hom(table, SeparatingTwist(data["gamma3"])),
-             d_prime(table, SeparatingTwist(data["gamma3"])),
-             d_bar(table, SeparatingTwist(data["gamma1"])))
-    ok = (d_hom(table, phi) == 0 and d_bar(table, phi) == 0
-          and spots == (0, 3, 2))
+    d3 = casson_values(table, SeparatingTwist(data["gamma3"]))
+    d1 = casson_values(table, SeparatingTwist(data["gamma1"]))
+    spots = (d3[0], d3[1], d1[2])
+    ok = casson_values(table, phi) == (0, 0, 0) and spots == (0, 3, 2)
     report(6, ok, "d(phi) = 0, dbar(phi) = 0, and the spot values are (0, 3, 2)")
 
 

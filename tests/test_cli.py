@@ -280,6 +280,7 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "lower-bounds", "--max-genus", "1"],
     ["verify", "lower-bounds", "--max-genus", "-1"],
     ["verify", "lower-bounds", "--max-genus", "31"],
+    ["verify", "theorem-b", "--genus", "13"],
 ])
 def test_out_of_range_genus_exit3(argv):
     run = _cli_subprocess(*argv)
@@ -322,6 +323,39 @@ def test_lower_bounds_limit_refused_before_work(capsys, monkeypatch):
                          str(cli._LOWER_BOUNDS_MAX_GENUS + 1))
     assert code == 3 and out == ""
     assert f"up to genus {cli._LOWER_BOUNDS_MAX_GENUS}" in err
+
+
+_TOO_HIGH = str(cli._DEGREE4_MAX_GENUS + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem-b", "--genus", _TOO_HIGH],
+    ["verify", "lcst", "--genus", _TOO_HIGH,
+     "--md", ",".join(["2", "2", "2"] + ["0"] * (2 * int(_TOO_HIGH) - 3))],
+    ["R", "a1+a2+b1+a2-a1-b1-", "--genus", _TOO_HIGH, "--degree", "4"],
+], ids=["theorem-b", "lcst-md", "R"])
+def test_degree4_limit_refused_before_work(capsys, monkeypatch, argv):
+    def work(*args):
+        raise AssertionError("a degree-4 command started work above its "
+                             "genus limit")
+    for name in ("get_table", "theorem_b_report", "lcst_component_diagonal",
+                 "_load_spec"):
+        monkeypatch.setattr(cli, name, work)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"up to genus {cli._DEGREE4_MAX_GENUS}" in err
+
+
+def test_theorem_b_outside_the_lattice_is_a_mismatch(capsys, monkeypatch):
+    # a degree-4 value that the lattice presentation cannot write fails its
+    # stages (exit 1); it is not malformed input (exit 2)
+    from torelli import trees
+    monkeypatch.setattr(trees, "solve_integer_combination",
+                        lambda *args, **kwargs: None)
+    code, out, err = run(capsys, "verify", "theorem-b", "--genus", "3")
+    assert code == 1 and err == ""
+    assert "FAIL tau4-integral" in out and "FAIL varpi-class" in out
+    assert "PASS R-nonzero" in out
 
 
 def test_determinism(capsys):

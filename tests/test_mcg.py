@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, rand_null_word, rand_word, twist_pool
+from conftest import SEED, rand_null_word, rand_word, twist_lifts, twist_pool
 from torelli.lie import MAX_CLASS, LieContext, get_context
-from torelli.mcg import (BoundingPairMap, Commutator, GradedValue, Inverse,
+from torelli.mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
+                         Inverse,
                          NotInFiltration, Product, SeparatingTwist,
                          WindowUnderflow, bounding_pair_value, build_phi,
-                         compose_values, d_bar, d_hom,
-                         d_prime, factor_value, genus_of_lift, phi_data,
-                         r_circ_mod1, r_mod1, tau, tau_is_integral,
-                         theorem_b_report, tr3, twist_value)
+                         casson_values, compose_values, factor_value,
+                         genus_of_lift, phi_data, r_circ_mod1, r_mod1, tau,
+                         tau_is_integral, theorem_b_report, tr3, twist_value)
 from torelli.trees import TreeSum, congruent_mod_trees, join, mod1_class_is_zero
 from torelli.words import comm, get_table, parse_word, theta
 
@@ -350,18 +350,70 @@ def test_genus_of_lift(table3, lifts):
 
 
 def test_d_values(table3, lifts):
+    # triples (d, d', dbar); T_gamma3 has genus 1 and T_gamma1 genus 2
     t3 = SeparatingTwist(lifts["gamma3"])
     t1 = SeparatingTwist(lifts["gamma1"])
-    assert d_hom(table3, t3) == 0
-    assert d_prime(table3, t3) == 3
-    assert d_bar(table3, t1) == 2
-    assert d_hom(table3, t1) == 8
-    assert d_hom(table3, SeparatingTwist(lifts["gamma1"], -2)) == -16
+    assert casson_values(table3, t3) == (0, 3, 2)
+    assert casson_values(table3, t1) == (8, 10, 2)
+    assert casson_values(table3, SeparatingTwist(lifts["gamma1"], -2)) == (
+        -16, -20, -4)
     word = Product([t1, Inverse(t3)])
-    assert d_hom(table3, word) == 8
-    assert d_hom(table3, lifts["phi"]) == 0
-    assert d_bar(table3, lifts["phi"]) == 0
-    assert d_hom(table3, lifts["i"]) is None  # bounding pairs carry no value
+    assert casson_values(table3, word) == (8, 7, 0)
+    assert casson_values(table3, lifts["phi"]) == (0, 0, 0)
+    assert casson_values(table3, lifts["i"]) is None  # bounding pairs carry no value
+
+
+def _dbar_formula(genus, d, d_prime):
+    """The closed-surface combination -(1+2g)/12 d + (g-1)/3 d' in exact
+    rationals, as it was evaluated before dbar joined the triple."""
+    val = Fraction(-(1 + 2 * genus), 12) * d + Fraction(genus - 1, 3) * d_prime
+    assert val.denominator == 1, val
+    return val.numerator
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5])
+def test_casson_triple_against_dbar_formula(genus):
+    rng = random.Random(SEED + genus)
+    table = get_table(genus, 2)
+    data = phi_data(genus)
+    leaves = ([SeparatingTwist(w, rng.choice((-2, -1, 1, 2)))
+               for w in twist_lifts(genus, 6)]
+              + [SeparatingTwist(data[f"gamma{i}"], rng.choice((-1, 1)))
+                 for i in range(1, 5)]
+              + [data["k"], data["phi"]])
+
+    def rand_factor(depth):
+        if depth == 0:
+            return rng.choice(leaves)
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Product([rand_factor(depth - 1)
+                            for _ in range(rng.randint(1, 3))])
+        if kind == 1:
+            return Inverse(rand_factor(depth - 1))
+        pair = rand_factor(depth - 1), rand_factor(depth - 1)
+        return Conjugate(*pair) if kind == 2 else Commutator(*pair)
+
+    for _ in range(40):
+        d, d_prime, dbar = casson_values(table, rand_factor(rng.randint(0, 3)))
+        assert dbar == _dbar_formula(genus, d, d_prime)
+
+
+@pytest.mark.parametrize("genus", [3, 4, 5])
+def test_casson_triple_on_twists_of_known_genus(genus):
+    # the curve around the first h handles bounds a subsurface of genus h
+    table = get_table(genus, 2)
+    for h in range(genus + 1):
+        lift = parse_word("".join(f"a{i}+b{i}+a{i}-b{i}-"
+                                  for i in range(1, h + 1)))
+        assert genus_of_lift(table, lift) == h
+        for power in (-2, 1, 3):
+            d, d_prime, dbar = casson_values(table,
+                                             SeparatingTwist(lift, power))
+            assert (d, d_prime) == (power * 4 * h * (h - 1),
+                                    power * h * (2 * h + 1))
+            assert dbar == power * h * (genus - h)
+            assert dbar == _dbar_formula(genus, d, d_prime)
 
 
 # --- the degree-3 trace --------------------------------------------------------
@@ -408,6 +460,39 @@ def test_tr3_kills_johnson_image(rng):
 def test_theorem_b_report_passes(table3):
     stages, rep = theorem_b_report(table3)
     assert all(s["ok"] for s in stages), [s for s in stages if not s["ok"]]
+
+
+def test_theorem_b_report_asks_each_question_once(table3, monkeypatch):
+    # one Casson triple per factor (phi, T_gamma3, T_gamma1), the four lift
+    # genera plus the six twists those factors hold, one presentation solve
+    from torelli import mcg
+    calls = {"casson": 0, "genus_of_lift": 0, "varpi": 0}
+    nesting = []
+    real_casson, real_genus, real_varpi = (mcg.casson_values,
+                                           mcg.genus_of_lift, mcg.varpi)
+
+    def casson(table, factor):
+        calls["casson"] += not nesting
+        nesting.append(factor)
+        try:
+            return real_casson(table, factor)
+        finally:
+            nesting.pop()
+
+    def genus(table, lift):
+        calls["genus_of_lift"] += 1
+        return real_genus(table, lift)
+
+    def varpi(dv):
+        calls["varpi"] += 1
+        return real_varpi(dv)
+
+    monkeypatch.setattr(mcg, "casson_values", casson)
+    monkeypatch.setattr(mcg, "genus_of_lift", genus)
+    monkeypatch.setattr(mcg, "varpi", varpi)
+    stages, _ = theorem_b_report(table3)
+    assert all(s["ok"] for s in stages)
+    assert calls == {"casson": 3, "genus_of_lift": 10, "varpi": 1}
 
 
 def test_tree_memo_matches_fresh_evaluation(table3):

@@ -260,6 +260,17 @@ def test_varpi_examples():
     assert varpi((half * 2).eta()) == 0
 
 
+def test_varpi_outside_the_lattice_is_none():
+    ctx = get_context(3, 3)
+    u = ctx.gen_a(1).bracket(ctx.gen_a(2)).bracket(ctx.gen_a(3))
+    # a quarter of the doubled tree is not integral
+    assert varpi((join(u, u) * Fraction(1, 4)).eta()) is None
+    # an integral element off the kernel of the bracket map has no presentation
+    assert varpi(DerivationElement(2, 4, {(1, (1, 1, 1, 1, 2)): 1})) is None
+    with pytest.raises(ValueError, match="degree 4"):
+        varpi(DerivationElement(2, 3, {(1, (1, 1, 1, 2)): 1}))
+
+
 def test_varpi_consistent_with_mod1(rng):
     # the class vanishes exactly when the element lies in the tree lattice
     ctx = get_context(2, 3)
