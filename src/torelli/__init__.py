@@ -5,8 +5,7 @@ computations that detect torsion in the abelianized Johnson kernel."""
 from .exact_linalg import (IntegerLattice, Mod2Subspace, gf2_span_closure,
                            hnf, snf_diagonal)
 from .lie import (LieContext, LieElement, get_context, ideal_omega_component,
-                  lbar_rank, lbar_reduce, lyndon_words, standard_bracketing,
-                  witt_rank)
+                  lbar_rank, lyndon_words, standard_bracketing, witt_rank)
 from .mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
                   Inverse, Product, SeparatingTwist, bounding_pair_value,
                   build_phi, casson_values, compose_values, factor_value,

@@ -310,21 +310,6 @@ def solve_rational_combination(rows, target):
     return x
 
 
-def reduce_mod_rowspace(terms, basis, rref_rows, pivots):
-    """Canonical representative of a sparse vector {basis key: coefficient}
-    modulo a row space given in RREF over the coordinates `basis`, returned
-    sparse in the same form."""
-    index = {k: i for i, k in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
-    for k, c in terms.items():
-        vec[index[k]] = Fraction(c)
-    for row, p in zip(rref_rows, pivots):
-        if vec[p]:
-            f = vec[p]
-            vec = [a - f * b for a, b in zip(vec, row)]
-    return {basis[i]: c for i, c in enumerate(vec) if c}
-
-
 # --- GF(2), bit-packed ----------------------------------------------------
 
 class Mod2Subspace:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import reduce_mod_rowspace, rref
+from .exact_linalg import rational_rank
 
 MAX_CLASS = 5  # Lie-algebra operations are supported up to degree 5
 
@@ -398,9 +398,6 @@ class LieElement(SparseCombination):
     def __hash__(self):
         return hash((self.ctx, frozenset(self.terms.items())))
 
-    def min_degree(self):
-        return min((len(w) for w in self.terms), default=0)
-
     def max_degree(self):
         return max((len(w) for w in self.terms), default=0)
 
@@ -505,8 +502,10 @@ def ideal_omega_component(ctx, d):
     return [x for x in layer if not x.is_zero()]
 
 
-def _ideal_rowspace(ctx, d):
-    """RREF data of the degree-d component of <<omega>> in the Lyndon basis."""
+def lbar_rank(ctx, d):
+    """Rank of degree d of the quotient of the free Lie algebra by <<omega>>."""
+    if d == 1:
+        return ctx.letters
     basis = ctx.lyndon_basis(d)
     index = {w: i for i, w in enumerate(basis)}
     rows = []
@@ -515,25 +514,4 @@ def _ideal_rowspace(ctx, d):
         for w, c in x.terms.items():
             row[index[w]] = c
         rows.append(row)
-    return basis, rref(rows)
-
-
-def lbar_rank(ctx, d):
-    """Rank of degree d of the quotient of the free Lie algebra by <<omega>>."""
-    if d == 1:
-        return ctx.letters
-    basis, (reduced, _pivots) = _ideal_rowspace(ctx, d)
-    return len(basis) - len(reduced)
-
-
-def lbar_reduce(x):
-    """Canonical representative of a homogeneous Lie element in the quotient
-    by the ideal generated by omega (zero iff the class is zero)."""
-    ctx = x.ctx
-    d = x.max_degree()
-    if x.is_zero() or d == 1:
-        return x
-    if x.min_degree() != d:
-        raise ValueError("lbar_reduce needs a homogeneous element")
-    basis, (reduced, pivots) = _ideal_rowspace(ctx, d)
-    return x._like(reduce_mod_rowspace(x.terms, basis, reduced, pivots))
+    return len(basis) - rational_rank(rows)

@@ -261,13 +261,21 @@ def _graded(ts, depth, known):
                        depth, known)
 
 
+def _join_through(x, y, known):
+    """join(x, y) through degree known: only the degree parts i of x and j
+    of y with i + j - 2 <= known are joined."""
+    return sum((join(x.degree_part(i), y.truncated(known + 2 - i))
+                for i in range(1, known + 2)), TreeSum(x.ctx.genus))
+
+
 def twist_value(table, twist):
     """Value of a separating twist power: half the self-join of theta(lift),
     times the power."""
     _require_degree2(table, "separating twist")
     th = _null_theta(table, twist.lift, "twist lift")
-    value = join(th, th) * Fraction(1, 2)
-    return _power(_graded(value, 2, table.ctx.max_degree), twist.power)
+    known = table.ctx.max_degree
+    value = _join_through(th, th, known) * Fraction(1, 2)
+    return _power(_graded(value, 2, known), twist.power)
 
 
 def bounding_pair_value(table, bp):
@@ -283,8 +291,8 @@ def bounding_pair_value(table, bp):
     th_g = theta(bp.gamma, table)
     th_c = _null_theta(table, bp.c, "bounding-pair ratio")
     known = min(table.ctx.max_degree - 1, 2)
-    th_g, th_c = th_g.truncated(known), th_c.truncated(known + 1)
-    value = -join(th_g, th_c) - join(th_c, th_c) * Fraction(1, 2)
+    value = (-_join_through(th_g, th_c, known)
+             - _join_through(th_c, th_c, known) * Fraction(1, 2))
     return _power(_graded(value, 1, known), bp.power)
 
 
@@ -336,15 +344,6 @@ def tau(value, k):
     _require_vanishing(value, range(value.depth, min(k, value.known + 1)),
                        f"not in M[{k}]")
     return _eta_or_zero(value.part(k), value.genus, k)
-
-
-def tau_is_integral(dv):
-    """Whether a Johnson value lies in the integral symplectic derivation
-    lattice: integer coefficients, and annihilated by the bracket map
-    (degree <= 3) or inside the degree-4 lattice presentation."""
-    if dv.degree <= 3:
-        return dv.is_integral() and dv.is_symplectic()
-    return varpi(dv) is not None
 
 
 def _odd_denominators(dv):

@@ -19,10 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .exact_linalg import (hnf, quotient_diagonal, rref,
-                           reduce_mod_rowspace, solve_integer_combination)
+from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
 from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
-                  get_context, ideal_omega_component, t_add_into, tree_size)
+                  get_context, t_add_into, tree_size)
 from .sp_mod2 import tree_mod2_bits
 
 
@@ -533,7 +532,7 @@ def varpi(v):
     return out
 
 
-# --- quotients for the closed surface ---------------------------------------
+# --- degree-4 quotient: derivation lattice over tree lattice ----------------
 
 def lcst_component_diagonal(genus, md):
     """Invariant factors of (derivation lattice)/(tree lattice) in the md
@@ -565,46 +564,3 @@ def lcst_full_diagonals(genus):
     for md in all_multidegrees(genus, 6):
         out.extend(d for d in lcst_component_diagonal(genus, md))
     return sorted(out)
-
-
-@lru_cache(maxsize=None)
-def odbar_subspace(genus, degree):
-    """RREF data of the subspace of H tensor L_{degree+1} that dies in the
-    closed-surface derivation quotient: H tensor <<omega>> plus the inner part
-    omega tensor L_degree pushed through the bracket."""
-    d = degree
-    ctx = get_context(genus, d + 1)
-    basis = []
-    for h in range(1, 2 * genus + 1):
-        for w in ctx.lyndon_basis(d + 1):
-            basis.append((h, w))
-    index = {k: i for i, k in enumerate(basis)}
-    rows = []
-
-    def add_elt(terms):
-        row = [Fraction(0)] * len(basis)
-        for k, c in terms.items():
-            row[index[k]] = c
-        rows.append(row)
-
-    for h in range(1, 2 * genus + 1):
-        for x in ideal_omega_component(ctx, d + 1):
-            add_elt(_tensor_letter(h, x))
-    ctx_low = get_context(genus, d)
-    for w in ctx_low.lyndon_basis(d):
-        y = ctx.monomial(w)
-        terms = {}
-        for i in range(1, genus + 1):
-            ai, bi = ctx.generator(i), ctx.generator(genus + i)
-            t_add_into(terms, _tensor_letter(i, bi.bracket(y)))
-            t_add_into(terms, _tensor_letter(genus + i, ai.bracket(y)), -1)
-        add_elt(terms)
-    reduced, pivots = rref(rows)
-    return basis, reduced, pivots
-
-
-def odbar_reduce(v):
-    """Canonical representative of a derivation element in the closed-surface
-    quotient (rational coefficients)."""
-    basis, reduced, pivots = odbar_subspace(v.genus, v.degree)
-    return v._like(reduce_mod_rowspace(v.terms, basis, reduced, pivots))

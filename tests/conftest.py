@@ -12,7 +12,7 @@ import pytest
 
 from torelli.lie import get_context, tree_size
 from torelli.trees import DerivationElement, TreeSum, join
-from torelli.words import GroupWord, comm, get_table, parse_word, theta
+from torelli.words import GroupWord, comm, get_table
 
 SEED = 1729
 

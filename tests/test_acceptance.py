@@ -10,18 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (ACCEPTANCE_LINES, SEED, rand_homogeneous, rand_lie,
-                      rand_null_word, rand_tree_sum, rand_word, twist_pool)
+from conftest import (ACCEPTANCE_LINES, SEED, rand_lie, rand_null_word,
+                      rand_tree_sum, rand_word, twist_pool)
 from torelli.lie import get_context, witt_rank
 from torelli.mcg import (BoundingPairMap, SeparatingTwist, bounding_pair_value,
                          build_phi, casson_values, phi_data, r_mod1,
-                         reference_theta_values, tr3, twist_value)
+                         reference_theta_values, tr3)
 from torelli.sp_mod2 import (lower_bound_exponents, project_l3_to_a,
                              tree_mod2_bits, verify_kernel_lemma)
 from torelli.trees import (congruent_mod_trees, join, lcst_component_diagonal,
-                           lcst_full_diagonals, mod1_class_is_zero,
-                           tree_lattice, varpi)
-from torelli.words import comm, get_table, parse_word, symplectic_check, theta
+                           lcst_full_diagonals)
+from torelli.words import get_table, symplectic_check, theta
 
 
 def report(number, ok, text):

@@ -219,6 +219,25 @@ def test_verify_json_bytes_are_pinned(argv, digest):
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["compose", '[{"twist":{"lift":"a1+a2+b1+a2-a1-b1-","power":2}},'
+      '{"conjugate":{"by":{"twist":{"lift":"a1+b1+a1-b1-"}},'
+      '"arg":{"twist":{"lift":"a2+b2+a2-b2-"}}}}]',
+      "--genus", "3", "--degree", "4"],
+     "98a836b715d00e7c70cac5254f9be73cbe084428eec42b8c377bba444c3c5c72"),
+    (["compose", '[{"bp":{"gamma":"a3+","c":"b3+a1+b1-a1-b1+b3-"}},'
+      '{"twist":{"lift":"a1+b1+a1-b1-"}}]', "--genus", "3", "--degree", "3"],
+     "ce59a8ce61e7bf72d00804105ebeb0881ebc00a669403cf5d797da632f05d971"),
+    (["ranks", "--genus", "3"],
+     "42b81d1b441039e1dfee3a523307d00c628b520c5072e3f154faac82ec7d0978"),
+], ids=["compose-twists-degree4", "compose-bp-degree3", "ranks-genus3"])
+def test_compose_and_ranks_json_bytes_are_pinned(argv, digest):
+    # as above, for the twist and bounding-pair values and the L-bar ranks
+    run = run_python("-m", "torelli.cli", *argv, "--format", "json")
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
+
+
 def _cli_subprocess(*argv, optimize=False):
     return run_python("-m", "torelli.cli", *argv, optimize=optimize)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from torelli.exact_linalg import (DimensionMismatch, IntegerLattice,
                                   Mod2Subspace, gf2_apply, gf2_kernel, gf2_span_closure, hnf,
-                                  quotient_diagonal, rational_rank, rref,
+                                  quotient_diagonal, rational_rank,
                                   snf_diagonal, solve_integer_combination,
                                   solve_rational_combination)
 

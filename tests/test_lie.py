@@ -6,7 +6,7 @@ import pytest
 from conftest import SEED, rand_lie, run_python
 from torelli.lie import (ContextMismatch, DegreeCapError, LieContext,
                          get_context, ideal_omega_component, is_lyndon,
-                         lbar_rank, lyndon_words, standard_bracketing,
+                         lbar_rank, standard_bracketing,
                          t_add_into, t_mul, witt_rank)
 
 
@@ -109,17 +109,16 @@ def test_context_mismatch():
 def test_range_and_space_checks_survive_optimize():
     # each check is an explicit raise, so python -O refuses the same inputs
     code = (
-        "from torelli.lie import ContextMismatch, get_context, lbar_reduce\n"
+        "from torelli.lie import ContextMismatch, get_context\n"
         "from torelli.mcg import GradedValue\n"
         "from torelli.trees import lie_lift\n"
         "ctx = get_context(3, 3)\n"
-        "a1, b1 = ctx.gen_a(1), ctx.gen_b(1)\n"
+        "a1 = ctx.gen_a(1)\n"
         "checks = {\n"
         "    'lyndon_basis': lambda: ctx.lyndon_basis(0),\n"
         "    'gen_a': lambda: ctx.gen_a(4),\n"
         "    'gen_b': lambda: ctx.gen_b(0),\n"
         "    'generator': lambda: ctx.generator(0),\n"
-        "    'lbar_reduce': lambda: lbar_reduce(a1 + a1.bracket(b1)),\n"
         "    'lie_lift': lambda: lie_lift(get_context(2, 3), a1),\n"
         "    'add': lambda: GradedValue.zero(2) + GradedValue.zero(3),\n"
         "    'bracket': lambda: GradedValue.zero(2).bracket(GradedValue.zero(3)),\n"
@@ -135,7 +134,7 @@ def test_range_and_space_checks_survive_optimize():
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n") == [
         "lyndon_basis ValueError", "gen_a ValueError", "gen_b ValueError",
-        "generator ValueError", "lbar_reduce ValueError",
+        "generator ValueError",
         "lie_lift ContextMismatch", "add ContextMismatch",
         "bracket ContextMismatch", ""]
 
@@ -183,7 +182,7 @@ def test_omega():
     ctx = get_context(3, 2)
     om = (ctx.monomial((1, 4)) + ctx.monomial((2, 5)) + ctx.monomial((3, 6)))
     assert ctx.omega() == om
-    assert ctx.omega().min_degree() == ctx.omega().max_degree() == 2
+    assert ctx.omega().max_degree() == 2
 
 
 def test_ideal_omega_component():
@@ -209,19 +208,3 @@ def test_json_shape():
     ctx = get_context(2, 3)
     j = (ctx.gen_a(1) * Fraction(3, 2)).to_json()
     assert j == {"degree": 1, "terms": [{"word": [1], "num": 3, "den": 2}]}
-
-
-def test_lbar_reduce():
-    from torelli.lie import lbar_reduce
-    ctx = get_context(3, 3)
-    om = ctx.omega()
-    # classes of ideal elements vanish in the quotient
-    for h in range(1, 7):
-        assert lbar_reduce(om.bracket(ctx.generator(h))).is_zero()
-    # a bracket of three distinct a-generators survives
-    survivor = ctx.gen_a(1).bracket(ctx.gen_a(2)).bracket(ctx.gen_a(3))
-    assert not lbar_reduce(survivor).is_zero()
-    # at genus 1 the whole of degree 3 is the ideal
-    ctx1 = get_context(1, 3)
-    x = ctx1.monomial((1, 1, 2))
-    assert lbar_reduce(x).is_zero()

@@ -6,14 +6,13 @@ import pytest
 from conftest import SEED, rand_null_word, rand_word, twist_lifts, twist_pool
 from torelli.lie import MAX_CLASS, LieContext, get_context
 from torelli.mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
-                         Inverse,
-                         NotInFiltration, Product, SeparatingTwist,
+                         Inverse, NotInFiltration, Product, SeparatingTwist,
                          WindowUnderflow, bounding_pair_value, build_phi,
-                         casson_values, compose_values, factor_value,
-                         genus_of_lift, phi_data, r_circ_mod1, r_mod1, tau,
-                         tau_is_integral, theorem_b_report, tr3, twist_value)
-from torelli.trees import TreeSum, congruent_mod_trees, join, mod1_class_is_zero
-from torelli.words import comm, get_table, parse_word, theta
+                         casson_values, factor_value, genus_of_lift, phi_data,
+                         r_circ_mod1, r_mod1, tau, theorem_b_report, tr3,
+                         twist_value)
+from torelli.trees import TreeSum, congruent_mod_trees, join
+from torelli.words import get_table, parse_word, theta
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +166,40 @@ def test_bp_two_route_equality(rng):
         checked += 1
 
 
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_values_join_only_inside_their_window(genus, degree):
+    # against the whole joins, out-of-window degrees dropped afterwards
+    table = get_table(genus, degree)
+    rng = random.Random(SEED)
+
+    def graded(ts, depth, known, power):
+        parts = {d: ts.degree_part(d) for d in ts.degrees()}
+        return GradedValue(genus, parts, depth, known) * power
+
+    def terms(value):
+        return (value.depth, value.known,
+                {d: p.terms for d, p in value.known_parts().items()})
+
+    for lift in twist_lifts(genus, 4):
+        power = rng.randint(1, 3)
+        th = theta(lift, table)
+        old = graded(join(th, th) * Fraction(1, 2), 2, degree, power)
+        new = twist_value(table, SeparatingTwist(lift, power))
+        assert terms(new) == terms(old)
+    for _ in range(4):
+        gamma = rand_word(genus, rng, rng.randint(1, 3))
+        c = rand_null_word(genus, rng)
+        power = rng.randint(1, 3)
+        known = min(degree - 1, 2)
+        th_g = theta(gamma, table).truncated(known)
+        th_c = theta(c, table).truncated(known + 1)
+        old = graded(-join(th_g, th_c) - join(th_c, th_c) * Fraction(1, 2),
+                     1, known, power)
+        new = bounding_pair_value(table, BoundingPairMap(gamma, c, power))
+        assert terms(new) == terms(old)
+
+
 # --- composition --------------------------------------------------------------
 
 def test_compose_with_inverse_is_zero(table3, lifts):
@@ -275,10 +308,10 @@ def test_group_operations_bracket_each_subtree_once(monkeypatch):
 def test_tau_values(table3, lifts):
     value_i = factor_value(table3, lifts["i"])
     t1 = tau(value_i, 1)
-    assert tau_is_integral(t1)
+    assert t1.is_integral() and t1.is_symplectic()
     value_k = factor_value(table3, lifts["k"])
     t2 = tau(value_k, 2)
-    assert tau_is_integral(t2)
+    assert t2.is_integral() and t2.is_symplectic()
     with pytest.raises(NotInFiltration):
         tau(value_i, 2)
 

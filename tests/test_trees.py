@@ -13,11 +13,9 @@ from torelli.lie import ContextMismatch, get_context, witt_rank
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, all_multidegrees,
                            basis_colored_trees, canonical_tree, component_basis,
-                           congruent_mod_trees, degree4_presentation,
-                           half_symmetric_generators, join,
-                           lcst_component_diagonal, lcst_full_diagonals,
-                           mod1_class_is_zero, odbar_reduce, tree_lattice,
-                           varpi)
+                           degree4_presentation, half_symmetric_generators,
+                           join, lcst_component_diagonal, lcst_full_diagonals,
+                           mod1_class_is_zero, tree_lattice, varpi)
 
 
 def test_join_single_monomials():
@@ -405,29 +403,6 @@ def test_closed_projection():
     # a class supported on words with b letters dies
     bits_b = tree_mod2_bits(3, ((4, 5), 6))
     assert project_l3_to_a(3, bits_b) == 0
-
-
-def test_odbar_reduce_kills_inner_and_ideal_parts():
-    genus = 2
-    ctx = get_context(genus, 4)
-    # the inner derivation attached to a degree-3 element dies
-    y = ctx.monomial((1, 2, 4))
-    terms = {}
-    for i in range(1, genus + 1):
-        ai, bi = ctx.generator(i), ctx.generator(genus + i)
-        for h, val in ((i, bi.bracket(y)), (genus + i, ai.bracket(y) * -1)):
-            for w, c in val.terms.items():
-                terms[(h, w)] = terms.get((h, w), 0) + c
-    inner = DerivationElement(genus, 3, {k: v for k, v in terms.items() if v})
-    assert odbar_reduce(inner).is_zero()
-    # anything valued in the omega ideal dies
-    om = ctx.omega()
-    elt = ctx.generator(1).bracket(ctx.generator(2).bracket(om))
-    ideal_val = DerivationElement(genus, 3, {(1, w): c for w, c in elt.terms.items()})
-    assert odbar_reduce(ideal_val).is_zero()
-    # a generic element survives
-    generic = DerivationElement(genus, 3, {(1, (1, 2, 2, 3)): Fraction(1)})
-    assert not odbar_reduce(generic).is_zero()
 
 
 def test_quotient_has_no_free_part_at_genus1():

@@ -1,9 +1,8 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, rand_word
+from conftest import rand_word
 from torelli.lie import DegreeCapError, get_context
 from torelli.words import (ExpansionTable, GroupWord, WordParseError,
                            boundary_word, comm, get_table, parse_word,
