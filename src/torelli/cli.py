@@ -24,10 +24,11 @@ PASS, MISMATCH, INPUT_ERROR, CAPABILITY_ERROR = 0, 1, 2, 3
 # Deepest factor nesting of a spec, far beyond any real product of twists;
 # it keeps parsing and evaluation well inside Python's recursion limit.
 _SPEC_MAX_DEPTH = 100
-# Largest genus of verify sp-kernel: L_3 has rank 2660 at genus 10, and the
-# orbit closure grows faster than that rank (a cold run took 44 s at genus 10
-# and 90 s at genus 11 on a 2-core x86-64 machine with Python 3.11).
-_SP_KERNEL_MAX_GENUS = 10
+# Largest genus of verify sp-kernel: the orbit span and the contraction
+# kernel have dimension 2640 / 3520 / 4576 at genus 10 / 11 / 12, and a cold
+# run took 1.6 s / 2.5 s / 4.8 s with a 38 / 54 / 78 MB peak (genus 13: 10 s,
+# 117 MB) on a 2-core x86-64 machine with Python 3.11.
+_SP_KERNEL_MAX_GENUS = 12
 # Largest genus of the commands that build degree-4 lattices (verify
 # theorem-b, verify lcst --md, R): each lists the Lyndon words of degree 5 on
 # 2g letters, about (2g)^5 / 5 of them.  Cold verify theorem-b took 1.9 s and

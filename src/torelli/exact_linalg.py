@@ -315,28 +315,44 @@ def solve_rational_combination(rows, target):
 class Mod2Subspace:
     """Subspace of GF(2)^n with rows bit-packed into ints, kept in RREF.
 
-    Bit i of a row is coordinate i.  Canonical: equal subspaces compare equal.
+    Bit i of a row is coordinate i.  The pivot of a row is its lowest set
+    bit, and each pivot bit is set only in its own row.  So a vector reduces
+    by XOR-ing in, for each pivot bit it holds, the row of that pivot, found
+    by lookup in a pivot -> row map; the rows it does not meet are never
+    read.  Canonical: equal subspaces compare equal.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "_row_of", "_pivot_mask")
 
     def __init__(self, ambient_dim, rows=()):
         self.ambient_dim = ambient_dim
-        self.rows = []
-        self.pivots = []
+        self._row_of = {}
+        self._pivot_mask = 0
         for r in rows:
             self.add(r)
 
     @property
+    def pivots(self):
+        return sorted(self._row_of)
+
+    @property
+    def rows(self):
+        return [self._row_of[p] for p in self.pivots]
+
+    @property
     def rank(self):
-        return len(self.rows)
+        return len(self._row_of)
 
     def _reduce(self, vec):
         if vec >> self.ambient_dim:
             raise DimensionMismatch("vector exceeds ambient dimension")
-        for row, p in zip(self.rows, self.pivots):
-            if (vec >> p) & 1:
-                vec ^= row
+        # a row meets no pivot bit but its own, so the pivot bits of vec
+        # are fixed up front and each is cleared by exactly one XOR
+        hit = vec & self._pivot_mask
+        while hit:
+            low = hit & -hit
+            vec ^= self._row_of[low.bit_length() - 1]
+            hit ^= low
         return vec
 
     def add(self, vec):
@@ -344,13 +360,12 @@ class Mod2Subspace:
         vec = self._reduce(vec)
         if not vec:
             return False
-        p = (vec & -vec).bit_length() - 1
-        i = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(i, vec)
-        self.pivots.insert(i, p)
-        for k in range(len(self.rows)):
-            if k != i and (self.rows[k] >> p) & 1:
-                self.rows[k] ^= vec
+        low = vec & -vec
+        for p, row in self._row_of.items():
+            if row & low:
+                self._row_of[p] = row ^ vec
+        self._row_of[low.bit_length() - 1] = vec
+        self._pivot_mask |= low
         return True
 
     def contains(self, vec):
@@ -359,7 +374,7 @@ class Mod2Subspace:
     def __eq__(self, other):
         return (isinstance(other, Mod2Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.rows == other.rows)
+                and self._row_of == other._row_of)
 
     def __hash__(self):
         return hash((self.ambient_dim, tuple(self.rows)))
@@ -389,10 +404,10 @@ def gf2_kernel(images, ambient_dim, codomain_dim):
             raise DimensionMismatch("image exceeds codomain dimension")
         graph.add(images[i] | 1 << (codomain_dim + i))
     ker = Mod2Subspace(ambient_dim)
-    for row, p in zip(graph.rows, graph.pivots):
+    for p, row in graph._row_of.items():
         if p >= codomain_dim:  # RREF rows: reduced against each other already
-            ker.rows.append(row >> codomain_dim)
-            ker.pivots.append(p - codomain_dim)
+            ker._row_of[p - codomain_dim] = row >> codomain_dim
+            ker._pivot_mask |= 1 << (p - codomain_dim)
     return ker
 
 
@@ -401,10 +416,20 @@ def gf2_span_closure(seeds, actions, ambient_dim):
 
     actions are GF(2)-linear maps given as basis-image lists.  Worklist
     fixed-point iteration; termination by rank monotonicity.
+
+    Each vector v taken from the worklist already lies in the span, so T(v)
+    does exactly when the moved part N(v) = T(v) - v does.  T fixes the
+    basis vectors outside its moved mask, so N(v) = T(u) - u with u the part
+    of v on that mask; N(v) is inserted with one `add` and pushed when the
+    rank grows.  A transvection moves few basis vectors, so N(v) is sparse
+    and its reduction meets few rows.
     """
+    moved = []
     for act in actions:
         if len(act) != ambient_dim:
             raise DimensionMismatch("action size != ambient dimension")
+        mask = sum(1 << i for i, image in enumerate(act) if image != 1 << i)
+        moved.append((act, mask))
     space = Mod2Subspace(ambient_dim)
     work = []
     for s in seeds:
@@ -412,9 +437,9 @@ def gf2_span_closure(seeds, actions, ambient_dim):
             work.append(s)
     while work:
         v = work.pop()
-        for act in actions:
-            w = gf2_apply(act, v)
-            if not space.contains(w):
-                space.add(w)
+        for act, mask in moved:
+            u = v & mask
+            w = gf2_apply(act, u) ^ u
+            if space.add(w):
                 work.append(w)
     return space

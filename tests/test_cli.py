@@ -209,9 +209,12 @@ def test_theorem_b_json_bytes_are_pinned(genus, digest):
      "cad2dffa47eed38aa0462e024598eae5ae7b9a5b1acfb3e06fcd3433e498e09d"),
     (["sp-kernel", "--genus", "6"],
      "946e7b3ae184d0517017b0040c98b5ef330f1de98cb6a995a45b5ea2a176993b"),
+    (["sp-kernel", "--genus", "8"],
+     "ace738836245065b5954c9e21af4c9267d1a1667f3b3de5f24db5430113d2bad"),
     (["lcst", "--genus", "2"],
      "3c49cd5a93c854467e1bf1f6d7ca234ada61422916e01da41794a69ed2982ee7"),
-], ids=["sp-kernel-genus5", "sp-kernel-genus6", "lcst-genus2"])
+], ids=["sp-kernel-genus5", "sp-kernel-genus6", "sp-kernel-genus8",
+        "lcst-genus2"])
 def test_verify_json_bytes_are_pinned(argv, digest):
     # as above, for the GF(2) orbit span and the full degree-4 quotient
     run = run_python("-m", "torelli.cli", "verify", *argv, "--format", "json")
@@ -300,6 +303,7 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "lower-bounds", "--max-genus", "-1"],
     ["verify", "lower-bounds", "--max-genus", "31"],
     ["verify", "theorem-b", "--genus", "13"],
+    ["verify", "sp-kernel", "--genus", "13"],
 ])
 def test_out_of_range_genus_exit3(argv):
     run = _cli_subprocess(*argv)

@@ -293,3 +293,153 @@ def test_gf2_reduce_and_membership():
     assert space.rank == 2
     assert space.contains(0b101)
     assert not space.contains(0b001)
+
+
+# --- GF(2) against a naive oracle ---------------------------------------------
+# The oracle keeps a plain list of generators and eliminates column by column
+# on lists of bits; membership is "the rank does not grow".  It shares no code
+# with Mod2Subspace.
+
+def _oracle_rref(vectors, dim):
+    """Canonical RREF (pivot = lowest coordinate) as (rows, pivots)."""
+    pending = [[(v >> i) & 1 for i in range(dim)] for v in vectors]
+    basis, pivots = [], []
+    for c in range(dim):
+        hit = next((r for r in pending if r[c]), None)
+        if hit is None:
+            continue
+        pending = [r for r in pending if r is not hit]
+        for r in pending + basis:
+            if r[c]:
+                r[:] = [x ^ y for x, y in zip(r, hit)]
+        basis.append(hit)
+        pivots.append(c)
+    return [sum(b << i for i, b in enumerate(r)) for r in basis], pivots
+
+
+class _OracleSubspace:
+    def __init__(self, dim, gens=()):
+        self.dim = dim
+        self.rows, self.pivots = _oracle_rref(gens, dim)
+
+    def contains(self, vec):
+        return len(_oracle_rref(self.rows + [vec], self.dim)[0]) == len(self.rows)
+
+    def add(self, vec):
+        grew = not self.contains(vec)
+        self.rows, self.pivots = _oracle_rref(self.rows + [vec], self.dim)
+        return grew
+
+
+def _oracle_apply(images, vec):
+    out = 0
+    for i, image in enumerate(images):
+        if (vec >> i) & 1:
+            out ^= image
+    return out
+
+
+def _oracle_closure(seeds, actions, dim):
+    # the plain worklist closure: the full image T(v), then contains, then add
+    space, work = _OracleSubspace(dim), []
+    for s in seeds:
+        if space.add(s):
+            work.append(s)
+    while work:
+        v = work.pop()
+        for act in actions:
+            w = _oracle_apply(act, v)
+            if not space.contains(w):
+                space.add(w)
+                work.append(w)
+    return space.rows, space.pivots
+
+
+@st.composite
+def _gf2_action(draw, dim):
+    full = (1 << dim) - 1
+    kind = draw(st.sampled_from(["identity", "random", "singular",
+                                 "transvection"]))
+    if kind == "identity":
+        return tuple(1 << i for i in range(dim))
+    if kind == "transvection":  # x -> x + <u, x> w moves only the bits of u
+        u, w = draw(st.integers(0, full)), draw(st.integers(0, full))
+        return tuple(1 << i ^ (w if (u >> i) & 1 else 0) for i in range(dim))
+    images = draw(st.lists(st.integers(0, full), min_size=dim, max_size=dim))
+    if kind == "singular":  # some basis vectors go to 0
+        for i in draw(st.lists(st.integers(0, dim - 1), min_size=1)):
+            images[i] = 0
+    return tuple(images)
+
+
+@st.composite
+def _gf2_closure_case(draw):
+    dim = draw(st.integers(1, 10))
+    vector = st.one_of(st.just(0), st.integers(0, (1 << dim) - 1))
+    seeds = draw(st.lists(vector, max_size=3))
+    actions = draw(st.lists(_gf2_action(dim), max_size=3))
+    return dim, seeds, actions
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gf2_closure_case())
+def test_gf2_closure_against_naive_oracle(case):
+    # the smallest invariant span, not just an invariant one
+    dim, seeds, actions = case
+    space = gf2_span_closure(seeds, actions, dim)
+    rows, pivots = _oracle_closure(seeds, actions, dim)
+    assert space.rows == rows
+    assert space.pivots == pivots
+    assert space.rank == len(rows)
+
+
+@st.composite
+def _gf2_add_case(draw):
+    dim = draw(st.integers(1, 10))
+    vector = st.one_of(st.just(0), st.integers(0, (1 << dim) - 1))
+    return dim, draw(st.lists(vector, max_size=12)), draw(st.lists(vector,
+                                                                    max_size=8))
+
+
+def _assert_matches_oracle(space, oracle, probes):
+    assert space.rows == oracle.rows
+    assert space.pivots == oracle.pivots
+    assert space.rank == len(oracle.rows)
+    for p in probes:
+        assert space.contains(p) == oracle.contains(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gf2_add_case())
+def test_mod2_subspace_against_naive_oracle(case):
+    dim, added, probes = case
+    space, oracle = Mod2Subspace(dim), _OracleSubspace(dim)
+    for v in added:
+        assert space.add(v) == oracle.add(v)
+        _assert_matches_oracle(space, oracle, probes)
+    # canonical: the same span from another generating list is equal
+    again = Mod2Subspace(dim, reversed(added))
+    assert again == space and hash(again) == hash(space)
+    outside = next((p for p in probes if not oracle.contains(p)), None)
+    if outside is not None:
+        assert Mod2Subspace(dim, added + [outside]) != space
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
+    st.just(dim), st.integers(1, 6).flatmap(lambda cod: st.tuples(
+        st.just(cod),
+        st.lists(st.integers(0, (1 << cod) - 1), min_size=dim, max_size=dim))),
+    st.lists(st.integers(0, (1 << dim) - 1), max_size=6))))
+def test_gf2_kernel_subspace_against_naive_oracle(case):
+    # gf2_kernel fills its subspace directly, not through add: membership and
+    # later insertions must see every kernel row
+    dim, (cod, images), probes = case
+    ker = gf2_kernel(images, dim, cod)
+    kernel = [v for v in range(1 << dim) if _oracle_apply(images, v) == 0]
+    oracle = _OracleSubspace(dim, kernel)
+    assert [v for v in range(1 << dim) if ker.contains(v)] == kernel
+    _assert_matches_oracle(ker, oracle, probes)
+    for p in probes:
+        assert ker.add(p) == oracle.add(p)
+        _assert_matches_oracle(ker, oracle, probes)
