@@ -30,12 +30,14 @@ _SPEC_MAX_DEPTH = 100
 # 117 MB) on a 2-core x86-64 machine with Python 3.11.
 _SP_KERNEL_MAX_GENUS = 12
 # Largest genus of the commands that build degree-4 lattices (verify
-# theorem-b, verify lcst --md, R): each lists the Lyndon words of degree 5 on
-# 2g letters, about (2g)^5 / 5 of them.  Cold verify theorem-b took 1.9 s and
-# 79 MB at genus 10, 4.0 s and 170 MB at genus 12 and 6.5 s and 246 MB at
-# genus 13 (R of one twist: 8.2 s and 170 MB at genus 12) on a 2-core x86-64
-# machine with Python 3.11.
-_DEGREE4_MAX_GENUS = 12
+# theorem-b, verify lcst --md, R): each lists its degree-5 Lyndon words on the
+# support of one multidegree only, so the L_3 word lists on 2g letters grow
+# fastest.  Cold verify theorem-b took 0.24 s / 18 MB at genus 12, 0.42 s /
+# 29 MB at 30, 0.83 s / 44 MB at 40 and 1.2 s / 69 MB at 50; verify lcst --md
+# and R of a commutator of two twists stayed under 0.6 s and 20 MB at genus
+# 30, on a 2-core x86-64 machine with Python 3.11.  30 matches the cap of
+# verify lower-bounds, whose cost is the same word lists.
+_DEGREE4_MAX_GENUS = 30
 # Largest --max-genus of verify lower-bounds: each genus lists the Lyndon
 # words of L_3 on 2g letters, and the cached lists for genus 2..30 peak at
 # about 60 MB (growing like the sum of (2g)^3 / 3 words).

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
 from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
-                  get_context, t_add_into, tree_size)
+                  get_context, lyndon_words, t_add_into, tree_size)
 from .sp_mod2 import tree_mod2_bits
 
 
@@ -373,14 +372,22 @@ def _term_multidegree(genus, key):
 
 @lru_cache(maxsize=None)
 def component_basis(genus, degree, md):
-    """Ordered basis of the md component of H tensor L_{degree+1}."""
+    """Ordered basis of the md component of H tensor L_{degree+1}.
+
+    The Lyndon words are listed on the support of md only and carried back by
+    the increasing map k -> support[k-1], which keeps the lexicographic order,
+    so the cost does not depend on the genus.
+    """
     if len(md) != 2 * genus or sum(md) != degree + 2 or any(c < 0 for c in md):
         raise ValueError(f"invalid multidegree {md} for degree {degree}")
-    ctx = get_context(genus, degree + 1)
+    support = [i + 1 for i, c in enumerate(md) if c]
     out = []
-    for w in ctx.lyndon_basis(degree + 1):
+    for short in lyndon_words(len(support), degree + 1):
+        if len(short) != degree + 1:
+            continue
         # rest = md - content(w) sums to 1: keep w when it stays >= 0, so
         # that it is one unit vector e_h
+        w = tuple(support[k - 1] for k in short)
         rest = list(md)
         for letter in w:
             if not rest[letter - 1]:
@@ -395,10 +402,18 @@ def component_basis(genus, degree, md):
 # --- integer tree lattices --------------------------------------------------
 
 def _colorings(md):
-    colors = []
+    """The distinct arrangements of the colors counted by md, in
+    lexicographic order; a repeated color is placed once per position, so no
+    arrangement is listed twice."""
+    if not any(md):
+        return [()]
+    out = []
     for i, c in enumerate(md):
-        colors.extend([i + 1] * c)
-    return sorted(set(permutations(colors)))
+        if c:
+            rest = list(md)
+            rest[i] -= 1
+            out.extend((i + 1,) + tail for tail in _colorings(rest))
+    return out
 
 
 def _nest(colors):
@@ -407,15 +422,25 @@ def _nest(colors):
 
 
 def basis_colored_trees(genus, md):
-    """The caterpillar diagrams (c0, c1) -- (c2, (c3, (...))) over the
-    colorings c of md, as (coloring, TreeSum) pairs.
+    """The caterpillar diagrams (c0, c1) -- (c2, (c3, (..., c_last))) whose
+    end colors are fixed, c0 the smallest color of md and c_last the largest,
+    as (coloring, TreeSum) pairs, one per distinct arrangement of the middle.
 
-    Read from a leaf, a diagram is a bracket, and the Jacobi identity writes
-    every bracket as an integer combination of nested ones, so caterpillars
-    span the integer tree lattice at every degree.
+    Rooted at c0, such a caterpillar is the right-normed bracket
+    [c1, [c2, [..., c_last]]].  Right-normed brackets with a fixed last letter
+    span each content component of the free Lie ring over Z (they are images
+    of its multilinear basis).  Every diagram of md can be rooted at a leaf
+    of color c0, and eta(c0 -- t) depends only on the class of t in that
+    ring, so these caterpillars span the integer tree lattice of md.
     """
+    colors = [i + 1 for i, c in enumerate(md) if c]
+    first, last = colors[0], colors[-1]
+    middle = list(md)
+    middle[first - 1] -= 1
+    middle[last - 1] -= 1
     out = []
-    for coloring in _colorings(md):
+    for inner in _colorings(middle):
+        coloring = (first,) + inner + (last,)
         ts = TreeSum.single(genus, _nest(coloring[:2]), _nest(coloring[2:]))
         if ts.terms:
             out.append((coloring, ts))
@@ -453,8 +478,11 @@ def _eta_int_vector(ts, md):
 
 @lru_cache(maxsize=None)
 def diagram_rows(genus, md):
-    """(colorings, integer eta vectors) of the caterpillar diagrams of the
-    md component, in the order of basis_colored_trees."""
+    """(colorings, integer eta vectors) of the fixed-end caterpillars of the
+    md component, in the order of basis_colored_trees.  The rows span the
+    integer tree lattice of md: every diagram rooted at a leaf of the
+    smallest color is a bracket, and right-normed brackets ending in the
+    largest color span its class over Z."""
     pairs = basis_colored_trees(genus, md)
     return (tuple(c for c, _ts in pairs),
             tuple(_eta_int_vector(ts, md) for _c, ts in pairs))

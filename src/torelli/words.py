@@ -11,6 +11,7 @@ is the calibration check for the whole table.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction as Fr
 from functools import lru_cache
@@ -128,6 +129,8 @@ class ExpansionTable:
         self.ctx = ctx
         # (kind, index, sign) -> (letter value it was computed from, its exp)
         self._exp = {}
+        # word letters -> (letter values it was computed from, theta(word))
+        self._theta = {}
         g = ctx.genus
         a = [None] + [ctx.gen_a(i) for i in range(1, g + 1)]
         b = [None] + [ctx.gen_b(i) for i in range(1, g + 1)]
@@ -175,13 +178,26 @@ class ExpansionTable:
 def theta(word, table):
     """Value of the symplectic expansion on a group word: the group-like
     product log(exp theta(l_1) ... exp theta(l_n)), which equals the
-    left-to-right BCH fold of the letter values."""
+    left-to-right BCH fold of the letter values.
+
+    The value is memoized on the table per word and recomputed when one of
+    the letter values it was built from has been replaced since.  It is
+    shared between callers, who must not mutate it.
+    """
+    key = word.letters
+    values = tuple(table.letter_value(kind, index, 1)
+                   for kind, index, _sign in key)
+    hit = table._theta.get(key)
+    if hit is not None and all(map(operator.is_, hit[0], values)):
+        return hit[1]
     ctx = table.ctx
     cap = ctx.max_degree
     prod = {(): Fr(1)}
-    for kind, index, sign in word.letters:
+    for kind, index, sign in key:
         prod = t_mul(prod, table.letter_exp(kind, index, sign), cap)
-    return LieElement(ctx, ctx.decompose(t_log(prod, cap)))
+    value = LieElement(ctx, ctx.decompose(t_log(prod, cap)))
+    table._theta[key] = (values, value)
+    return value
 
 
 def symplectic_check(table):

@@ -213,8 +213,10 @@ def test_theorem_b_json_bytes_are_pinned(genus, digest):
      "ace738836245065b5954c9e21af4c9267d1a1667f3b3de5f24db5430113d2bad"),
     (["lcst", "--genus", "2"],
      "3c49cd5a93c854467e1bf1f6d7ca234ada61422916e01da41794a69ed2982ee7"),
+    (["lcst", "--genus", "3", "--md", "1,2,2,0,0,1"],
+     "f55cd4b1d831f692da663648f31e6f7b1074cb7c3cf2eb080e8c30f05684b1a6"),
 ], ids=["sp-kernel-genus5", "sp-kernel-genus6", "sp-kernel-genus8",
-        "lcst-genus2"])
+        "lcst-genus2", "lcst-genus3-md"])
 def test_verify_json_bytes_are_pinned(argv, digest):
     # as above, for the GF(2) orbit span and the full degree-4 quotient
     run = run_python("-m", "torelli.cli", "verify", *argv, "--format", "json")
@@ -237,6 +239,23 @@ def test_verify_json_bytes_are_pinned(argv, digest):
 def test_compose_and_ranks_json_bytes_are_pinned(argv, digest):
     # as above, for the twist and bounding-pair values and the L-bar ranks
     run = run_python("-m", "torelli.cli", *argv, "--format", "json")
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
+
+
+_R_SPEC = ('[{"commutator": [{"twist": {"lift": "a1+b1+a1-b1-"}}, '
+           '{"twist": {"lift": "a1+a2+b1+a2-a1-b1-"}}]}]')
+
+
+@pytest.mark.parametrize("genus, digest", [
+    (3, "e1cc3a9b9614cb67cebe8d5458484e7a15266c69b4e10c23adbcd4d880e8f19c"),
+    (12, "08546a751fd456a6f7ff713ee35b576a6adb08731d203aa5d9a13aee2407eacd"),
+], ids=["genus3", "genus12"])
+def test_r_json_bytes_are_pinned(genus, digest):
+    # as above, for R of a commutator of two twists on handles 1-2; the
+    # genus-12 run lists its degree-4 bases on those handles only
+    run = run_python("-m", "torelli.cli", "R", _R_SPEC, "--genus", str(genus),
+                     "--degree", "4", "--format", "json")
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
@@ -302,7 +321,7 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "lower-bounds", "--max-genus", "1"],
     ["verify", "lower-bounds", "--max-genus", "-1"],
     ["verify", "lower-bounds", "--max-genus", "31"],
-    ["verify", "theorem-b", "--genus", "13"],
+    ["verify", "theorem-b", "--genus", "31"],
     ["verify", "sp-kernel", "--genus", "13"],
 ])
 def test_out_of_range_genus_exit3(argv):

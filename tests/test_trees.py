@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import (SEED, independent_eta, rand_homogeneous, rand_tree_sum,
                       run_python)
-from torelli.exact_linalg import hnf, rational_rank
+from torelli.exact_linalg import hnf, rational_rank, solve_rational_combination
 from torelli.lie import ContextMismatch, get_context, witt_rank
+from torelli.mcg import tr3
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, all_multidegrees,
                            basis_colored_trees, canonical_tree, component_basis,
-                           degree4_presentation, half_symmetric_generators,
-                           join, lcst_component_diagonal, lcst_full_diagonals,
-                           mod1_class_is_zero, tree_lattice, varpi)
+                           degree4_presentation, diagram_rows,
+                           half_symmetric_generators, join,
+                           lcst_component_diagonal, lcst_full_diagonals,
+                           mod1_class_is_zero, omega_pairing, tree_lattice,
+                           varpi)
 
 
 def test_join_single_monomials():
@@ -332,6 +335,87 @@ def test_caterpillars_span_the_degree4_tree_lattice(genus, mds):
         reference = hnf(_two_shape_rows(genus, md),
                         ambient_dim=len(component_basis(genus, 4, md)))
         assert reference.rows == tree_lattice(genus, 4, md).rows, md
+
+
+def _all_caterpillars(genus, md):
+    """(coloring, integer eta row) of the caterpillar (c0, c1) -- (c2, (...))
+    over every coloring c of md, without fixing its end colors."""
+    colors = [i + 1 for i, c in enumerate(md) for _ in range(c)]
+    out = []
+    for c in sorted(set(permutations(colors))):
+        tail = c[-1]
+        for x in reversed(c[2:-1]):
+            tail = (x, tail)
+        ts = TreeSum.single(genus, (c[0], c[1]), tail)
+        if ts.terms:
+            out.append((c, [int(x) for x in ts.eta().component_vector(md)]))
+    return out
+
+
+@pytest.mark.parametrize("genus, degrees", [
+    (1, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2, 3)),
+], ids=["genus1", "genus2", "genus3"])
+def test_fixed_end_caterpillars_span_all_caterpillars(genus, degrees):
+    # oracle: the rows of the caterpillars with the smallest color first and
+    # the largest last generate the lattice of every caterpillar coloring
+    for degree in degrees:
+        for md in all_multidegrees(genus, degree + 2):
+            everything = _all_caterpillars(genus, md)
+            colorings, rows = diagram_rows(genus, md)
+            by_coloring = dict(everything)
+            assert all(by_coloring[c] == list(r)
+                       for c, r in zip(colorings, rows)), md
+            colors = [i + 1 for i, c in enumerate(md) if c]
+            assert all(c[0] == colors[0] and c[-1] == colors[-1]
+                       for c in colorings), md
+            dim = len(component_basis(genus, degree, md))
+            assert (hnf(rows, ambient_dim=dim).rows
+                    == hnf([r for _c, r in everything],
+                           ambient_dim=dim).rows), md
+
+
+def _rand_tree(rng, leaves, letters):
+    if leaves == 1:
+        return rng.randint(1, letters)
+    k = rng.randint(1, leaves - 1)
+    return (_rand_tree(rng, k, letters), _rand_tree(rng, leaves - k, letters))
+
+
+def _tr3_over_all_chains(ts):
+    """Morita's trace of a degree-3 tree sum, solved over every chain
+    coloring of each component rather than the fixed-end ones."""
+    genus = ts.genus
+    if not ts.terms:
+        return {}
+    dv = ts.eta()
+    out = {}
+    for md in dv.multidegrees():
+        chains = _all_caterpillars(genus, md)
+        combo = solve_rational_combination(
+            [r for _c, r in chains], dv.component_vector(md))
+        assert combo is not None, md
+        for coeff, (c, _r) in zip(combo, chains):
+            a, b, cc, d, e = c
+            for w, mono in ((omega_pairing(genus, e, a), (b, cc, d)),
+                            (omega_pairing(genus, a, d), (e, cc, b)),
+                            (omega_pairing(genus, d, b), (a, cc, e)),
+                            (omega_pairing(genus, b, e), (d, cc, a))):
+                key = tuple(sorted(mono))
+                out[key] = out.get(key, 0) + 2 * w * coeff
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_tr3_on_fixed_end_chains_matches_all_chains(genus, rng):
+    for _ in range(6):
+        ts = TreeSum(genus)
+        for _ in range(rng.randint(1, 3)):
+            left = rng.randint(1, 4)
+            ts = ts + TreeSum.single(genus,
+                                     _rand_tree(rng, left, 2 * genus),
+                                     _rand_tree(rng, 5 - left, 2 * genus)
+                                     ) * rng.choice((-3, -2, -1, 1, 2, 3))
+        assert tr3(ts) == _tr3_over_all_chains(ts)
 
 
 @pytest.mark.parametrize("genus, expected", [(1, 1), (2, 6), (3, 15)])

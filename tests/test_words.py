@@ -143,6 +143,26 @@ def test_theta_equals_bch_fold(rng):
                 assert theta(w, table).terms == _bch_fold(w, table).terms, w
 
 
+def test_theta_is_memoized_and_follows_a_replaced_letter_value():
+    # a second call shares the first result; replacing a letter value that
+    # the word uses makes theta recompute from the new value
+    table = ExpansionTable(get_context(2, 4))
+    word = parse_word("a1+b2-a1-b1+a2+")
+    first = theta(word, table)
+    assert theta(parse_word("a1+b2-a1-b1+a2+"), table) is first
+    table.theta_alpha[1] = (table.theta_alpha[1]
+                            + table.ctx.monomial((1, 2), Fraction(1, 2)))
+    second = theta(word, table)
+    assert second is not first
+    assert second.terms == _bch_fold(word, table).terms
+    assert second != first
+    # a word without a1 keeps its memo across the replacement
+    other = parse_word("b1+a2-")
+    kept = theta(other, table)
+    table.theta_alpha[1] = table.theta_alpha[1] * 1
+    assert theta(other, table) is kept
+
+
 def test_table_rejects_degree_five():
     with pytest.raises(DegreeCapError, match="unspecified beyond degree 4"):
         ExpansionTable(get_context(2, 5))
