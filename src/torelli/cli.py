@@ -29,19 +29,21 @@ _SPEC_MAX_DEPTH = 100
 # run took 1.6 s / 2.5 s / 4.8 s with a 38 / 54 / 78 MB peak (genus 13: 10 s,
 # 117 MB) on a 2-core x86-64 machine with Python 3.11.
 _SP_KERNEL_MAX_GENUS = 12
-# Largest genus of the commands that build degree-4 lattices (verify
-# theorem-b, verify lcst --md, R): each lists its degree-5 Lyndon words on the
-# support of one multidegree only, so the L_3 word lists on 2g letters grow
-# fastest.  Cold verify theorem-b took 0.24 s / 18 MB at genus 12, 0.42 s /
-# 29 MB at 30, 0.83 s / 44 MB at 40 and 1.2 s / 69 MB at 50; verify lcst --md
-# and R of a commutator of two twists stayed under 0.6 s and 20 MB at genus
-# 30, on a 2-core x86-64 machine with Python 3.11.  30 matches the cap of
-# verify lower-bounds, whose cost is the same word lists.
-_DEGREE4_MAX_GENUS = 30
-# Largest --max-genus of verify lower-bounds: each genus lists the Lyndon
-# words of L_3 on 2g letters, and the cached lists for genus 2..30 peak at
-# about 60 MB (growing like the sum of (2g)^3 / 3 words).
-_LOWER_BOUNDS_MAX_GENUS = 30
+# Largest genus of theta, compose, R, verify symplectic, theorem-b and
+# lcst --md, and largest --max-genus of verify lower-bounds.  Measured cold
+# on a 2-core x86-64 machine with Python 3.11:
+# - verify symplectic multiplies out the 4g-letter boundary word through
+#   degree 4: 4.3 s / 24 MB at genus 30, 11-14 s / 31 MB at 40 and 34 s /
+#   40 MB at 50.  theta and compose of short words took under 0.3 s / 20 MB
+#   at genus 30, but the table builds every letter value (theta a1+ at
+#   degree 4: 10 s / 236 MB at genus 300).
+# - the degree-4 lattices list Lyndon words on the support of one
+#   multidegree only, so the L_3 word lists on 2g letters grow fastest:
+#   verify theorem-b took 0.46 s / 29 MB at genus 30, 0.83 s / 44 MB at 40
+#   and 1.2 s / 69 MB at 50; verify lcst --md and R of a commutator of two
+#   twists stayed under 0.6 s / 20 MB at genus 30.
+# - verify lower-bounds caches the L_3 word lists of genus 2..30: 58 MB.
+_MAX_GENUS = 30
 
 
 class _Out:
@@ -63,10 +65,10 @@ class _Out:
             print()
 
 
-def _require_degree4_genus(genus):
-    if genus > _DEGREE4_MAX_GENUS:
-        raise DegreeCapError("the degree-4 lattices are computed up to genus "
-                             f"{_DEGREE4_MAX_GENUS}, got genus {genus}")
+def _require_genus(genus):
+    if genus > _MAX_GENUS:
+        raise DegreeCapError(f"this command runs up to genus {_MAX_GENUS}, "
+                             f"got genus {genus}")
 
 
 def _table(args):
@@ -74,6 +76,7 @@ def _table(args):
 
 
 def cmd_theta(args, out):
+    _require_genus(args.genus)
     text = sys.stdin.read().strip() if args.word == "-" else args.word
     word = parse_word(text)
     value = theta(word, _table(args))
@@ -205,6 +208,7 @@ def _value_report(value):
 
 
 def cmd_compose(args, out):
+    _require_genus(args.genus)
     factor = _load_spec(args.spec)
     value = factor_value(_table(args), factor)
     rec, lines = _value_report(value)
@@ -213,7 +217,7 @@ def cmd_compose(args, out):
 
 
 def cmd_r(args, out):
-    _require_degree4_genus(args.genus)
+    _require_genus(args.genus)
     factor = _load_spec(args.spec)
     if args.degree is None:
         args.degree = 4
@@ -237,6 +241,7 @@ def cmd_r(args, out):
 
 
 def cmd_verify_symplectic(args, out):
+    _require_genus(args.genus)
     degrees = [args.degree] if args.degree is not None else [3, 4]
     ok = True
     for n in degrees:
@@ -251,7 +256,7 @@ def cmd_verify_symplectic(args, out):
 def cmd_verify_theorem_b(args, out):
     if args.genus < 3:
         raise DegreeCapError("the construction needs genus >= 3")
-    _require_degree4_genus(args.genus)
+    _require_genus(args.genus)
     stages, _rep = theorem_b_report(_table(args))
     ok = True
     for s in stages:
@@ -263,7 +268,7 @@ def cmd_verify_theorem_b(args, out):
 def cmd_verify_lcst(args, out):
     g = args.genus
     if args.md:
-        _require_degree4_genus(g)
+        _require_genus(g)
         md = tuple(int(x) for x in args.md.split(","))
         if len(md) != 2 * g or sum(md) != 6 or any(c < 0 for c in md):
             raise ValueError("multidegree must be 2g nonnegative counts summing to 6")
@@ -311,9 +316,9 @@ def cmd_verify_lower_bounds(args, out):
     if args.max_genus < 2:
         raise DegreeCapError("genus out of range: the bounds start at genus 2, "
                              f"got --max-genus {args.max_genus}")
-    if args.max_genus > _LOWER_BOUNDS_MAX_GENUS:
+    if args.max_genus > _MAX_GENUS:
         raise DegreeCapError("the bounds are checked up to genus "
-                             f"{_LOWER_BOUNDS_MAX_GENUS}, got --max-genus "
+                             f"{_MAX_GENUS}, got --max-genus "
                              f"{args.max_genus}")
     ok = True
     for g in range(2, args.max_genus + 1):

@@ -84,6 +84,7 @@ def is_lyndon(word):
     return all(word < word[i:] + word[:i] for i in range(1, n))
 
 
+@lru_cache(maxsize=None)
 def standard_bracketing(word):
     """Right-normed standard bracketing tree of a Lyndon word.
 
@@ -165,10 +166,66 @@ def t_log(p, cap):
     return out
 
 
-class LieContext:
-    """Shared state for a fixed genus and nilpotency class.
+# --- structure constants of the free Lie ring --------------------------------
+# They depend on neither the genus nor the class, so each is cached once per
+# process and shared by every context: callers must not mutate them.
 
-    Immutable after construction apart from internal memo tables, which are
+def _expand_tree(tree):
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    left = _expand_tree(tree[0])
+    right = _expand_tree(tree[1])
+    n = tree_size(tree)
+    out = t_mul(left, right, n)
+    t_add_into(out, t_mul(right, left, n), -1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _expansion(word):
+    """Tensor expansion of the standard bracketing of a Lyndon word."""
+    return _expand_tree(standard_bracketing(word))
+
+
+def decompose(poly):
+    """Write a tensor polynomial that is a Lie element in the Lyndon basis.
+
+    Triangular elimination per degree: repeatedly strip the lexicographically
+    smallest word, which must be Lyndon.  Raises if the input is not a Lie
+    element.
+    """
+    by_degree = {}
+    for w, c in poly.items():
+        by_degree.setdefault(len(w), {})[w] = c
+    terms = {}
+    for d, comp in sorted(by_degree.items()):
+        if d == 0:
+            raise ValueError("degree-0 part is not a Lie element")
+        while comp:
+            w = min(comp)
+            if not is_lyndon(w):
+                raise ValueError(f"not a Lie element: stray word {w}")
+            c = comp[w]
+            terms[w] = c
+            t_add_into(comp, _expansion(w), -c)
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _bracket_words(w1, w2):
+    """[monomial(w1), monomial(w2)] in the Lyndon basis (integer coeffs)."""
+    p1, p2 = _expansion(w1), _expansion(w2)
+    cap = len(w1) + len(w2)
+    comm = t_mul(p1, p2, cap)
+    t_add_into(comm, t_mul(p2, p1, cap), -1)
+    return decompose(comm)
+
+
+class LieContext:
+    """What depends on the genus and the nilpotency class: the Lyndon basis
+    per degree and the memo of `from_tree`.
+
+    Immutable after construction apart from these memo tables, which are
     write-once per key; concurrent readers always see consistent values.
     """
 
@@ -182,9 +239,6 @@ class LieContext:
         self.max_degree = max_degree
         self.letters = 2 * genus
         self._lyndon = {}       # degree -> tuple of words
-        self._bracketing = {}   # word -> tree
-        self._expansion = {}    # word -> tensor dict with int coeffs
-        self._bracket_memo = {} # (w1, w2) -> lyndon dict with int coeffs
         self._tree_memo = {}    # tree -> LieElement, shared by every caller
 
     def __repr__(self):
@@ -208,71 +262,6 @@ class LieContext:
                           if len(w) == degree)
             self._lyndon[degree] = words
         return self._lyndon[degree]
-
-    def bracketing(self, word):
-        tree = self._bracketing.get(word)
-        if tree is None:
-            tree = standard_bracketing(word)
-            self._bracketing[word] = tree
-        return tree
-
-    def expansion(self, word):
-        """Tensor expansion of the standard bracketing of a Lyndon word."""
-        poly = self._expansion.get(word)
-        if poly is None:
-            poly = self._expand_tree(self.bracketing(word))
-            self._expansion[word] = poly
-        return poly
-
-    def _expand_tree(self, tree):
-        if isinstance(tree, int):
-            return {(tree,): 1}
-        left = self._expand_tree(tree[0])
-        right = self._expand_tree(tree[1])
-        n = tree_size(tree)
-        out = t_mul(left, right, n)
-        t_add_into(out, t_mul(right, left, n), -1)
-        return out
-
-    # -- conversions --
-
-    def decompose(self, poly):
-        """Write a tensor polynomial that is a Lie element in the Lyndon basis.
-
-        Triangular elimination per degree: repeatedly strip the lexicographically
-        smallest word, which must be Lyndon.  Raises if the input is not a Lie
-        element.
-        """
-        by_degree = {}
-        for w, c in poly.items():
-            by_degree.setdefault(len(w), {})[w] = c
-        terms = {}
-        for d, comp in sorted(by_degree.items()):
-            if d == 0:
-                raise ValueError("degree-0 part is not a Lie element")
-            while comp:
-                w = min(comp)
-                if not is_lyndon(w):
-                    raise ValueError(f"not a Lie element: stray word {w}")
-                c = comp[w]
-                terms[w] = c
-                t_add_into(comp, self.expansion(w), -c)
-        return terms
-
-    def bracket_words(self, w1, w2):
-        """[monomial(w1), monomial(w2)] in the Lyndon basis (integer coeffs)."""
-        key = (w1, w2)
-        out = self._bracket_memo.get(key)
-        if out is None:
-            if len(w1) + len(w2) > self.max_degree:
-                out = {}
-            else:
-                p1, p2 = self.expansion(w1), self.expansion(w2)
-                comm = t_mul(p1, p2, self.max_degree)
-                t_add_into(comm, t_mul(p2, p1, self.max_degree), -1)
-                out = self.decompose(comm)
-            self._bracket_memo[key] = out
-        return out
 
     # -- element constructors --
 
@@ -416,13 +405,13 @@ class LieElement(SparseCombination):
             for w2, c2 in other.terms.items():
                 if len(w1) + len(w2) > ctx.max_degree:
                     continue
-                t_add_into(out, ctx.bracket_words(w1, w2), c1 * c2)
+                t_add_into(out, _bracket_words(w1, w2), c1 * c2)
         return LieElement(ctx, out)
 
     def to_tensor(self):
         out = {}
         for w, c in self.terms.items():
-            t_add_into(out, self.ctx.expansion(w), c)
+            t_add_into(out, _expansion(w), c)
         return out
 
     def bch(self, other):
@@ -434,7 +423,7 @@ class LieElement(SparseCombination):
         self._check(other)
         cap = self.ctx.max_degree
         prod = t_mul(t_exp(self.to_tensor(), cap), t_exp(other.to_tensor(), cap), cap)
-        return self._like(self.ctx.decompose(t_log(prod, cap)))
+        return self._like(decompose(t_log(prod, cap)))
 
     def rooted_terms(self):
         """The element as a list of (coefficient, bracketing tree) pairs.
@@ -442,7 +431,7 @@ class LieElement(SparseCombination):
         Each Lyndon monomial is replaced by its standard bracketing; evaluating
         the trees recovers the element.
         """
-        return [(c, self.ctx.bracketing(w)) for w, c in sorted(self.terms.items())]
+        return [(c, standard_bracketing(w)) for w, c in sorted(self.terms.items())]
 
     # -- rendering --
 
@@ -458,7 +447,7 @@ class LieElement(SparseCombination):
         out = ""
         for i, w in enumerate(words):
             c = self.terms[w]
-            name = self._transform(self.ctx.bracketing(w))
+            name = self._transform(standard_bracketing(w))
             if i == 0 and c == 1:
                 out = name
             elif i == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_linalg import gf2_apply, gf2_kernel, gf2_span_closure
-from .lie import get_context, witt_rank
+from .lie import get_context, standard_bracketing, witt_rank
 
 
 def _pair(genus, x, y):
@@ -87,7 +87,6 @@ def transvection(genus, letters):
 
 # --- the action on L_3 mod 2 -------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _l3_words(genus):
     return get_context(genus, 3).lyndon_basis(3)
 
@@ -124,10 +123,9 @@ def tree_mod2_bits(genus, tree):
 def _l3_triples(genus):
     """Each basis word of L_3 as a left-normed triple (a, b, c) = [[a,b],c]
     mod 2: a bracketing [x,[y,z]] is read as [[y,z],x], its negative."""
-    ctx = get_context(genus, 3)
     out = []
     for w in _l3_words(genus):
-        left, right = ctx.bracketing(w)
+        left, right = standard_bracketing(w)
         out.append(left + (right,) if isinstance(left, tuple)
                    else right + (left,))
     return tuple(out)
@@ -173,7 +171,10 @@ def omega_bracket_bits(genus, h):
     return l3_mod2_bits(ctx.omega().bracket(ctx.generator(h)))
 
 
+@lru_cache(maxsize=None)
 def stigma_kernel(genus):
+    """The kernel of the contraction, built once per genus.  The subspace is
+    shared: callers must not add to it."""
     return gf2_kernel(_stigma_matrix(genus), len(_l3_words(genus)), 2 * genus)
 
 

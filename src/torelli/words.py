@@ -16,8 +16,8 @@ import re
 from fractions import Fraction as Fr
 from functools import lru_cache
 
-from .lie import (DegreeCapError, LieContext, LieElement, get_context, t_exp,
-                  t_log, t_mul)
+from .lie import (DegreeCapError, LieContext, LieElement, decompose,
+                  get_context, t_exp, t_log, t_mul)
 
 # A letter is (kind, index, sign) with kind "a"/"b", index 1..g, sign +-1.
 _TOKEN = re.compile(r"([ab])([1-9][0-9]*)([+-])")
@@ -195,7 +195,7 @@ def theta(word, table):
     prod = {(): Fr(1)}
     for kind, index, sign in key:
         prod = t_mul(prod, table.letter_exp(kind, index, sign), cap)
-    value = LieElement(ctx, ctx.decompose(t_log(prod, cap)))
+    value = LieElement(ctx, decompose(t_log(prod, cap)))
     table._theta[key] = (values, value)
     return value
 

@@ -323,6 +323,9 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "lower-bounds", "--max-genus", "31"],
     ["verify", "theorem-b", "--genus", "31"],
     ["verify", "sp-kernel", "--genus", "13"],
+    ["verify", "symplectic", "--genus", "31"],
+    ["theta", "a1+", "--genus", "31"],
+    ["compose", "a1+b1+a1-b1-", "--genus", "31"],
 ])
 def test_out_of_range_genus_exit3(argv):
     run = _cli_subprocess(*argv)
@@ -362,12 +365,12 @@ def test_lower_bounds_limit_refused_before_work(capsys, monkeypatch):
     monkeypatch.setattr(cli, "lower_bound_exponents", work)
     monkeypatch.setattr(cli, "get_context", work)
     code, out, err = run(capsys, "verify", "lower-bounds", "--max-genus",
-                         str(cli._LOWER_BOUNDS_MAX_GENUS + 1))
+                         str(cli._MAX_GENUS + 1))
     assert code == 3 and out == ""
-    assert f"up to genus {cli._LOWER_BOUNDS_MAX_GENUS}" in err
+    assert f"up to genus {cli._MAX_GENUS}" in err
 
 
-_TOO_HIGH = str(cli._DEGREE4_MAX_GENUS + 1)
+_TOO_HIGH = str(cli._MAX_GENUS + 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -375,17 +378,22 @@ _TOO_HIGH = str(cli._DEGREE4_MAX_GENUS + 1)
     ["verify", "lcst", "--genus", _TOO_HIGH,
      "--md", ",".join(["2", "2", "2"] + ["0"] * (2 * int(_TOO_HIGH) - 3))],
     ["R", "a1+a2+b1+a2-a1-b1-", "--genus", _TOO_HIGH, "--degree", "4"],
-], ids=["theorem-b", "lcst-md", "R"])
+    ["verify", "symplectic", "--genus", _TOO_HIGH],
+    ["theta", "-", "--genus", _TOO_HIGH],
+    ["compose", "a1+b1+a1-b1-", "--genus", _TOO_HIGH],
+], ids=["theorem-b", "lcst-md", "R", "symplectic", "theta", "compose"])
 def test_degree4_limit_refused_before_work(capsys, monkeypatch, argv):
+    # the degree-4 commands share their genus limit with the commands that
+    # only evaluate the expansion
     def work(*args):
-        raise AssertionError("a degree-4 command started work above its "
-                             "genus limit")
+        raise AssertionError("a command started work above its genus limit")
+    monkeypatch.setattr("sys.stdin", None)
     for name in ("get_table", "theorem_b_report", "lcst_component_diagonal",
-                 "_load_spec"):
+                 "_load_spec", "parse_word", "symplectic_check"):
         monkeypatch.setattr(cli, name, work)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
-    assert f"up to genus {cli._DEGREE4_MAX_GENUS}" in err
+    assert f"up to genus {cli._MAX_GENUS}" in err
 
 
 def test_theorem_b_outside_the_lattice_is_a_mismatch(capsys, monkeypatch):

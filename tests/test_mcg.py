@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import SEED, rand_null_word, rand_word, twist_lifts, twist_pool
-from torelli.lie import MAX_CLASS, LieContext, get_context
+from torelli.lie import (MAX_CLASS, LieContext, _bracket_words, _expand_tree,
+                         _expansion, decompose, get_context, lyndon_words,
+                         standard_bracketing, t_add_into, t_mul)
 from torelli.mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
                          Inverse, NotInFiltration, Product, SeparatingTwist,
                          WindowUnderflow, bounding_pair_value, build_phi,
@@ -539,6 +541,27 @@ def test_tree_memo_matches_fresh_evaluation(table3):
             assert value.terms == fresh.from_tree(tree).terms, tree
             checked += 1
     assert checked
+
+
+def test_structure_constants_match_fresh_evaluation(table3):
+    # the expansions and word brackets are cached once per process and shared
+    # by every context, so a fresh context reads the same entries: after a
+    # full report each must still equal an evaluation that bypasses the caches
+    theorem_b_report(table3)
+    assert _expansion.cache_info().currsize and \
+        _bracket_words.cache_info().currsize
+    fresh = {w: _expand_tree(standard_bracketing(w))
+             for w in lyndon_words(6, 5)}
+    for w, poly in fresh.items():
+        assert _expansion(w) == poly, w
+    for w1, p1 in fresh.items():
+        for w2, p2 in fresh.items():
+            n = len(w1) + len(w2)
+            if n > 5:
+                continue
+            comm = t_mul(p1, p2, n)
+            t_add_into(comm, t_mul(p2, p1, n), -1)
+            assert _bracket_words(w1, w2) == decompose(comm), (w1, w2)
 
 
 def test_phi_r4_stable_at_degree4_table(table34):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import SEED, run_python
 from torelli.exact_linalg import gf2_apply
-from torelli.lie import get_context, witt_rank
+from torelli.lie import get_context, standard_bracketing, witt_rank
 from torelli.sp_mod2 import (SpTransformation, action_matrix,
                              lower_bound_exponents, omega_bracket_bits,
                              orbit_span, project_l3_to_a, standard_generators,
@@ -64,7 +64,7 @@ def _jacobi_stigma_matrix(genus):
     ctx = get_context(genus, 3)
     out = []
     for w in ctx.lyndon_basis(3):
-        tree = ctx.bracketing(w)
+        tree = standard_bracketing(w)
         if isinstance(tree[0], tuple):
             triples = [tree[0] + (tree[1],)]
         else:
@@ -93,7 +93,7 @@ def test_action_matrix_against_standard_bracketing(g):
     for t in standard_generators(g):
         expected = []
         for w in ctx.lyndon_basis(3):
-            left_normed = isinstance(ctx.bracketing(w)[0], tuple)
+            left_normed = isinstance(standard_bracketing(w)[0], tuple)
             acc = 0
             for x in _letters(t.images[w[0] - 1]):
                 for y in _letters(t.images[w[1] - 1]):
@@ -273,6 +273,11 @@ def test_equivariance_on_kernel():
         mat = action_matrix(t)
         for row in ker.rows:
             assert ker.contains(gf2_apply(mat, row))
+
+
+def test_stigma_kernel_is_built_once():
+    # verify sp-kernel asks for the kernel in both of its checks
+    assert stigma_kernel(5) is stigma_kernel(5)
 
 
 def test_lower_bounds():
