@@ -24,11 +24,11 @@ PASS, MISMATCH, INPUT_ERROR, CAPABILITY_ERROR = 0, 1, 2, 3
 # Deepest factor nesting of a spec, far beyond any real product of twists;
 # it keeps parsing and evaluation well inside Python's recursion limit.
 _SPEC_MAX_DEPTH = 100
-# Largest genus of verify sp-kernel: the orbit span and the contraction
-# kernel have dimension 2640 / 3520 / 4576 at genus 10 / 11 / 12, and a cold
-# run took 1.6 s / 2.5 s / 4.8 s with a 38 / 54 / 78 MB peak (genus 13: 10 s,
-# 117 MB) on a 2-core x86-64 machine with Python 3.11.
-_SP_KERNEL_MAX_GENUS = 12
+# Largest genus of verify sp-kernel: the span and kernel have dimension 4576 /
+# 7280 / 10880 at genus 12 / 14 / 16; a cold run took 0.35-0.53 / 0.69-1.0 /
+# 1.5-2.1 s with a 31 / 50 / 90 MB peak (genus 17: 1.9-2.4 s, 120 MB; 18:
+# 2.7-3.9 s, 160 MB) on a 2-core x86-64 machine with Python 3.11.
+_SP_KERNEL_MAX_GENUS = 16
 # Largest genus of theta, compose, R, verify symplectic, theorem-b and
 # lcst --md, and largest --max-genus of verify lower-bounds.  Measured cold
 # on a 2-core x86-64 machine with Python 3.11:

@@ -319,7 +319,8 @@ class Mod2Subspace:
     bit, and each pivot bit is set only in its own row.  So a vector reduces
     by XOR-ing in, for each pivot bit it holds, the row of that pivot, found
     by lookup in a pivot -> row map; the rows it does not meet are never
-    read.  Canonical: equal subspaces compare equal.
+    read.  Only rows pivoted below a new row can hold its pivot bit, so rows
+    added from the highest pivot down touch no other row.  Canonical.
     """
 
     __slots__ = ("ambient_dim", "_row_of", "_pivot_mask")
@@ -361,9 +362,10 @@ class Mod2Subspace:
         if not vec:
             return False
         low = vec & -vec
-        for p, row in self._row_of.items():
-            if row & low:
-                self._row_of[p] = row ^ vec
+        if self._pivot_mask & (low - 1):
+            for p, row in self._row_of.items():
+                if row & low:
+                    self._row_of[p] = row ^ vec
         self._row_of[low.bit_length() - 1] = vec
         self._pivot_mask |= low
         return True
@@ -393,21 +395,42 @@ def gf2_apply(images, vec):
     return out
 
 
+class _SemiEchelon:
+    """Rows with distinct lowest bits (pivots), which other rows may hold.
+    A vector reduces by XOR-ing in the row of its lowest pivot bit until it
+    holds none, and its rest is inserted without back-elimination."""
+
+    def __init__(self):
+        self.row_of, self.pivots = {}, 0
+
+    def insert(self, vec):
+        """Reduce vec, insert the rest and return it (0 if in the span)."""
+        hit = vec & self.pivots
+        while hit:
+            vec ^= self.row_of[(hit & -hit).bit_length()]
+            hit = vec & self.pivots
+        if vec:
+            self.row_of[(vec & -vec).bit_length()] = vec
+            self.pivots |= vec & -vec
+        return vec
+
+
 def gf2_kernel(images, ambient_dim, codomain_dim):
-    """Kernel of the map basis i -> images[i] as a Mod2Subspace of the domain."""
-    # Reduce the graph vectors image | e_i << codomain_dim; pivots are lowest
-    # bits, so the RREF rows pivoted in the e_i bits have a zero image part
-    # and span the kernel.
-    graph = Mod2Subspace(codomain_dim + ambient_dim)
-    for i in range(ambient_dim):
-        if images[i] >> codomain_dim:
+    """Kernel of the map basis i -> images[i] as a Mod2Subspace of the domain.
+
+    The graph vectors image(p) | e_p << codomain_dim go in from the top p
+    down.  J, the p whose image is independent of those above, has at most
+    codomain_dim members; any other p reduces to the kernel row
+    e_p + sum c_j e_j over j in J above p.  These are the RREF rows, added
+    from the highest pivot down: O(ambient_dim * codomain_dim) XORs.
+    """
+    graph, ker = _SemiEchelon(), Mod2Subspace(ambient_dim)
+    for p in range(ambient_dim - 1, -1, -1):
+        if images[p] >> codomain_dim:
             raise DimensionMismatch("image exceeds codomain dimension")
-        graph.add(images[i] | 1 << (codomain_dim + i))
-    ker = Mod2Subspace(ambient_dim)
-    for p, row in graph._row_of.items():
-        if p >= codomain_dim:  # RREF rows: reduced against each other already
-            ker._row_of[p - codomain_dim] = row >> codomain_dim
-            ker._pivot_mask |= 1 << (p - codomain_dim)
+        vec = graph.insert(images[p] | 1 << (codomain_dim + p))
+        if not vec & ((1 << codomain_dim) - 1):
+            ker.add(vec >> codomain_dim)
     return ker
 
 
@@ -415,31 +438,30 @@ def gf2_span_closure(seeds, actions, ambient_dim):
     """Smallest subspace containing the seeds and closed under the actions.
 
     actions are GF(2)-linear maps given as basis-image lists.  Worklist
-    fixed-point iteration; termination by rank monotonicity.
+    fixed-point iteration, breadth first; termination by rank monotonicity.
 
     Each vector v taken from the worklist already lies in the span, so T(v)
     does exactly when the moved part N(v) = T(v) - v does.  T fixes the
     basis vectors outside its moved mask, so N(v) = T(u) - u with u the part
-    of v on that mask; N(v) is inserted with one `add` and pushed when the
-    rank grows.  A transvection moves few basis vectors, so N(v) is sparse
-    and its reduction meets few rows.
+    of v on that mask.  The span grows in semi-echelon form; one pass from
+    its highest pivot down then yields the canonical RREF.
     """
     moved = []
     for act in actions:
-        if len(act) != ambient_dim:
-            raise DimensionMismatch("action size != ambient dimension")
+        if len(act) != ambient_dim or max(act, default=0) >> ambient_dim:
+            raise DimensionMismatch("action is not a map of the ambient space")
         mask = sum(1 << i for i, image in enumerate(act) if image != 1 << i)
         moved.append((act, mask))
-    space = Mod2Subspace(ambient_dim)
-    work = []
-    for s in seeds:
-        if space.add(s):
-            work.append(s)
-    while work:
-        v = work.pop()
+    span = _SemiEchelon()
+    work = [w for w in map(span.insert, seeds) if w]
+    if max(work, default=0) >> ambient_dim:  # a wide seed leaves a wide rest
+        raise DimensionMismatch("seed exceeds ambient dimension")
+    for v in work:  # the loop also visits the rows appended in it
         for act, mask in moved:
             u = v & mask
-            w = gf2_apply(act, u) ^ u
-            if space.add(w):
-                work.append(w)
-    return space
+            if u:
+                w = span.insert(gf2_apply(act, u) ^ u)
+                if w:
+                    work.append(w)
+    return Mod2Subspace(ambient_dim, (span.row_of[p] for p in
+                                      sorted(span.row_of, reverse=True)))

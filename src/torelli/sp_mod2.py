@@ -92,31 +92,45 @@ def _l3_words(genus):
 
 
 @lru_cache(maxsize=None)
-def _l3_index(genus):
-    return {w: i for i, w in enumerate(_l3_words(genus))}
+def _l3_bit(genus):
+    return {w: 1 << i for i, w in enumerate(_l3_words(genus))}
 
 
 def l3_mod2_bits(x):
     """An integral degree-3 Lie element as a bitmask over the Lyndon basis of
     L_3, mod 2."""
-    index = _l3_index(x.ctx.genus)
+    bit = _l3_bit(x.ctx.genus)
     bits = 0
     for w, c in x.terms.items():
         if c.denominator != 1:
             raise ValueError(f"coefficient {c} of {w} is not an integer")
         if c.numerator % 2:
-            bits ^= 1 << index[w]
+            bits ^= bit[w]
     return bits
 
 
-@lru_cache(maxsize=None)
+def _bracket3(bit, x, y, z):
+    """[[x,y],z] mod 2 for letters x, y, z, with bit = _l3_bit(genus).  With
+    p < q the letters of x != y it is the word ppq (z = p), pqq (z = q), pqz
+    (p < z < q), zpq (z < p), or pqz + pzq (z > q), by Jacobi."""
+    if x == y:
+        return 0
+    p, q = (x, y) if x < y else (y, x)
+    if z > q:
+        return bit[p, q, z] | bit[p, z, q]
+    if z in (p, q):
+        return bit[p, z, q]
+    return bit[(p, q, z) if z > p else (z, p, q)]
+
+
 def tree_mod2_bits(genus, tree):
-    """A degree-3 bracket tree with generator leaves in L_3 mod 2."""
-    # This cache already holds every whole tree, so only the two halves go
-    # through the memo of from_tree.
-    ctx = get_context(genus, 3)
-    left, right = tree
-    return l3_mod2_bits(ctx.from_tree(left).bracket(ctx.from_tree(right)))
+    """A bracket tree ((x,y),z) or (x,(y,z)) on the letters in L_3 mod 2."""
+    if isinstance(tree[1], tuple):  # [x,[y,z]] = -[[y,z],x]
+        tree = tree[::-1]
+    (x, y), z = tree
+    if not all(type(c) is int and 1 <= c <= 2 * genus for c in (x, y, z)):
+        raise ValueError(f"{tree} is not a tree on the {2 * genus} letters")
+    return _bracket3(_l3_bit(genus), x, y, z)
 
 
 @lru_cache(maxsize=None)
@@ -135,15 +149,19 @@ def _l3_triples(genus):
 def action_matrix(transformation):
     """Basis-image list of the transformation acting on L_3 mod 2."""
     g = transformation.genus
-    images = transformation.images
-    out = []
-    for a, b, c in _l3_triples(g):
+    bit = _l3_bit(g)
+    letters = [_bits(mask) for mask in transformation.images]
+    fixed = [m == 1 << i for i, m in enumerate(transformation.images)]
+    out = list(bit.values())  # a word on fixed letters keeps its unit row
+    for i, (a, b, c) in enumerate(_l3_triples(g)):
+        if fixed[a - 1] and fixed[b - 1] and fixed[c - 1]:
+            continue
         acc = 0
-        for x in _bits(images[a - 1]):
-            for y in _bits(images[b - 1]):
-                for z in _bits(images[c - 1]):
-                    acc ^= tree_mod2_bits(g, ((x, y), z))
-        out.append(acc)
+        for x in letters[a - 1]:
+            for y in letters[b - 1]:
+                for z in letters[c - 1]:
+                    acc ^= _bracket3(bit, x, y, z)
+        out[i] = acc
     return tuple(out)
 
 

@@ -211,12 +211,17 @@ def test_theorem_b_json_bytes_are_pinned(genus, digest):
      "946e7b3ae184d0517017b0040c98b5ef330f1de98cb6a995a45b5ea2a176993b"),
     (["sp-kernel", "--genus", "8"],
      "ace738836245065b5954c9e21af4c9267d1a1667f3b3de5f24db5430113d2bad"),
+    (["sp-kernel", "--genus", "10"],
+     "5e0c0120e4182b45d4b861c4dfdafda6631435938220d34ca0742c8caa3e9ea2"),
+    (["sp-kernel", "--genus", "12"],
+     "f8501576a15151106a37b8e501ca6c919ea10633d30aa596dbb0b399798abd13"),
     (["lcst", "--genus", "2"],
      "3c49cd5a93c854467e1bf1f6d7ca234ada61422916e01da41794a69ed2982ee7"),
     (["lcst", "--genus", "3", "--md", "1,2,2,0,0,1"],
      "f55cd4b1d831f692da663648f31e6f7b1074cb7c3cf2eb080e8c30f05684b1a6"),
 ], ids=["sp-kernel-genus5", "sp-kernel-genus6", "sp-kernel-genus8",
-        "lcst-genus2", "lcst-genus3-md"])
+        "sp-kernel-genus10", "sp-kernel-genus12", "lcst-genus2",
+        "lcst-genus3-md"])
 def test_verify_json_bytes_are_pinned(argv, digest):
     # as above, for the GF(2) orbit span and the full degree-4 quotient
     run = run_python("-m", "torelli.cli", "verify", *argv, "--format", "json")
@@ -322,7 +327,7 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "lower-bounds", "--max-genus", "-1"],
     ["verify", "lower-bounds", "--max-genus", "31"],
     ["verify", "theorem-b", "--genus", "31"],
-    ["verify", "sp-kernel", "--genus", "13"],
+    ["verify", "sp-kernel", "--genus", "17"],
     ["verify", "symplectic", "--genus", "31"],
     ["theta", "a1+", "--genus", "31"],
     ["compose", "a1+b1+a1-b1-", "--genus", "31"],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python
 from torelli.exact_linalg import (DimensionMismatch, IntegerLattice,
                                   Mod2Subspace, gf2_apply, gf2_kernel, gf2_span_closure, hnf,
                                   quotient_diagonal, rational_rank,
@@ -288,6 +289,22 @@ def test_gf2_kernel():
         assert ker == Mod2Subspace(dim, ker.rows)  # canonical RREF
 
 
+def test_gf2_width_checks_survive_optimize():
+    # a seed or an action image wider than the ambient space and an image
+    # wider than the codomain are refused by explicit raises, so python -O
+    # refuses them too
+    calls = ["gf2_span_closure([0b1000], [(1, 2, 4)], 3)",
+             "gf2_span_closure([0b001], [(1, 2, 0b1000)], 3)",
+             "gf2_kernel((0b01, 0b100, 0b10), 3, 2)"]
+    code = ("from torelli.exact_linalg import (DimensionMismatch, gf2_kernel,"
+            " gf2_span_closure)\n") + "".join(
+        f"try:\n    {call}\nexcept DimensionMismatch:\n    print({i})\n"
+        for i, call in enumerate(calls))
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "1", "2"]
+
+
 def test_gf2_reduce_and_membership():
     space = Mod2Subspace(3, [0b011, 0b110, 0b101])
     assert space.rank == 2
@@ -432,8 +449,9 @@ def test_mod2_subspace_against_naive_oracle(case):
         st.lists(st.integers(0, (1 << cod) - 1), min_size=dim, max_size=dim))),
     st.lists(st.integers(0, (1 << dim) - 1), max_size=6))))
 def test_gf2_kernel_subspace_against_naive_oracle(case):
-    # gf2_kernel fills its subspace directly, not through add: membership and
-    # later insertions must see every kernel row
+    # gf2_kernel writes its RREF rows from the top pivot down, so add never
+    # back-eliminates them: membership and later insertions must see every
+    # kernel row
     dim, (cod, images), probes = case
     ker = gf2_kernel(images, dim, cod)
     kernel = [v for v in range(1 << dim) if _oracle_apply(images, v) == 0]

@@ -5,7 +5,7 @@ import pytest
 from conftest import SEED, run_python
 from torelli.exact_linalg import gf2_apply
 from torelli.lie import get_context, standard_bracketing, witt_rank
-from torelli.sp_mod2 import (SpTransformation, action_matrix,
+from torelli.sp_mod2 import (SpTransformation, action_matrix, l3_mod2_bits,
                              lower_bound_exponents, omega_bracket_bits,
                              orbit_span, project_l3_to_a, standard_generators,
                              stigma, stigma_kernel, transvection,
@@ -86,9 +86,38 @@ def test_stigma_against_jacobi_matrix(g):
         assert stigma(g, 1 << i) == expected
 
 
+def _lie_mod2(genus, tree):
+    """A degree-3 tree in L_3 mod 2 by the Lie route: the Fraction bracket
+    of its two halves, rewritten in the Lyndon basis."""
+    ctx = get_context(genus, 3)
+    left, right = tree
+    return l3_mod2_bits(ctx.from_tree(left).bracket(ctx.from_tree(right)))
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_tree_mod2_bits_against_lie_route(g):
+    # the closed form of [[x,y],z] on every ordered letter triple, in both
+    # shapes
+    letters = range(1, 2 * g + 1)
+    for x in letters:
+        for y in letters:
+            for z in letters:
+                for tree in (((x, y), z), (x, (y, z))):
+                    assert tree_mod2_bits(g, tree) == _lie_mod2(g, tree), tree
+
+
+@pytest.mark.parametrize("tree", [((1, 2), 7), ((0, 1), 2), (1, (2, -1)),
+                                  ((1, 2), 3.0), ((True, 2), 3),
+                                  ((1, 2), (3, 4))])
+def test_tree_mod2_bits_rejects_non_letters(tree):
+    with pytest.raises(ValueError):
+        tree_mod2_bits(3, tree)
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_action_matrix_against_standard_bracketing(g):
-    # each basis word's image evaluated on its own bracketing shape
+    # each basis word's image evaluated on its own bracketing shape, by the
+    # Lie route
     ctx = get_context(g, 3)
     for t in standard_generators(g):
         expected = []
@@ -98,7 +127,7 @@ def test_action_matrix_against_standard_bracketing(g):
             for x in _letters(t.images[w[0] - 1]):
                 for y in _letters(t.images[w[1] - 1]):
                     for z in _letters(t.images[w[2] - 1]):
-                        acc ^= tree_mod2_bits(
+                        acc ^= _lie_mod2(
                             g, ((x, y), z) if left_normed else (x, (y, z)))
             expected.append(acc)
         assert list(action_matrix(t)) == expected
