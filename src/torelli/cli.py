@@ -35,8 +35,8 @@ _SP_KERNEL_MAX_GENUS = 16
 # - verify symplectic multiplies out the 4g-letter boundary word through
 #   degree 4: 4.3 s / 24 MB at genus 30, 11-14 s / 31 MB at 40 and 34 s /
 #   40 MB at 50.  theta and compose of short words took under 0.3 s / 20 MB
-#   at genus 30, but the table builds every letter value (theta a1+ at
-#   degree 4: 10 s / 236 MB at genus 300).
+#   at genus 30; the table builds only the letter values a word uses, so
+#   theta a1+ at degree 4 took 0.06-0.13 s / 15 MB at genus 30.
 # - the degree-4 lattices list Lyndon words on the support of one
 #   multidegree only, so the L_3 word lists on 2g letters grow fastest:
 #   verify theorem-b took 0.46 s / 29 MB at genus 30, 0.83 s / 44 MB at 40

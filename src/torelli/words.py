@@ -11,7 +11,6 @@ is the calibration check for the whole table.
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction as Fr
 from functools import lru_cache
@@ -26,10 +25,13 @@ EXPANSION_MAX_DEGREE = 4  # the stored expansion is undefined beyond degree 4
 
 
 def _check_expansion_degree(degree):
-    """Refuse a truncation degree beyond the stored expansion."""
+    """Refuse a truncation degree outside the stored expansion's 1..4."""
     if degree > EXPANSION_MAX_DEGREE:
         raise DegreeCapError("the expansion is unspecified beyond degree "
                              f"{EXPANSION_MAX_DEGREE}")
+    if degree < 1:
+        raise DegreeCapError("the expansion is truncated at a degree in "
+                             f"1..{EXPANSION_MAX_DEGREE}, got degree {degree}")
 
 
 class WordParseError(ValueError):
@@ -122,57 +124,50 @@ class ExpansionTable:
                   + 1/4 sum_{j<i} [om_j, om_i]
 
     Degree 5 and beyond is not specified, so tables with N >= 5 are refused.
+    The table is immutable and filled on demand: a letter value, the exp of a
+    signed letter value and theta of a word are each built on first use.
     """
 
     def __init__(self, ctx: LieContext):
         _check_expansion_degree(ctx.max_degree)
         self.ctx = ctx
-        # (kind, index, sign) -> (letter value it was computed from, its exp)
-        self._exp = {}
-        # word letters -> (letter values it was computed from, theta(word))
-        self._theta = {}
-        g = ctx.genus
-        a = [None] + [ctx.gen_a(i) for i in range(1, g + 1)]
-        b = [None] + [ctx.gen_b(i) for i in range(1, g + 1)]
-        om = [None] + [a[i].bracket(b[i]) for i in range(1, g + 1)]
-        self.theta_alpha = [None]
-        self.theta_beta = [None]
-        for i in range(1, g + 1):
-            lower = ctx.zero()
-            for j in range(1, i):
-                lower = lower + om[j]
-            ta = (a[i] - om[i] * Fr(1, 2)
-                  + om[i].bracket(b[i]) * Fr(1, 12)
-                  - a[i].bracket(a[i].bracket(a[i].bracket(b[i]))) * Fr(1, 24)
-                  - lower.bracket(a[i]) * Fr(1, 2)
-                  + lower.bracket(om[i]) * Fr(1, 4))
-            tb = (b[i] - om[i] * Fr(1, 2)
-                  + om[i].bracket(b[i]) * Fr(1, 4)
-                  + a[i].bracket(om[i]) * Fr(1, 12)
-                  - om[i].bracket(b[i]).bracket(b[i]) * Fr(1, 24)
-                  + b[i].bracket(lower) * Fr(1, 2)
-                  + lower.bracket(om[i]) * Fr(1, 4))
-            self.theta_alpha.append(ta)
-            self.theta_beta.append(tb)
+        self._value = {}  # (kind, index) -> letter value
+        self._exp = {}    # (kind, index, sign) -> exp of the signed letter value
+        self._theta = {}  # word letters -> theta(word)
+
+    def _series(self, kind, i):
+        """The degree <= N series of alpha_i (kind "a") or beta_i ("b")."""
+        ctx = self.ctx
+        a, b = ctx.gen_a(i), ctx.gen_b(i)
+        om = a.bracket(b)
+        lower = sum((ctx.gen_a(j).bracket(ctx.gen_b(j)) for j in range(1, i)),
+                    ctx.zero())
+        shared = lower.bracket(om) * Fr(1, 4) - om * Fr(1, 2)
+        if kind == "a":
+            return (a + shared + om.bracket(b) * Fr(1, 12)
+                    - a.bracket(a.bracket(om)) * Fr(1, 24)
+                    - lower.bracket(a) * Fr(1, 2))
+        return (b + shared + om.bracket(b) * Fr(1, 4) + a.bracket(om) * Fr(1, 12)
+                - om.bracket(b).bracket(b) * Fr(1, 24)
+                + b.bracket(lower) * Fr(1, 2))
 
     def letter_value(self, kind, index, sign):
+        if kind not in ("a", "b") or sign not in (1, -1):
+            raise ValueError(f"malformed letter {(kind, index, sign)!r}: kind a/b, sign +-1")
         if not 1 <= index <= self.ctx.genus:
             raise ValueError(f"generator index {index} out of range 1..{self.ctx.genus}")
-        val = self.theta_alpha[index] if kind == "a" else self.theta_beta[index]
-        return val if sign > 0 else -val
+        value = self._value.get((kind, index))
+        if value is None:
+            value = self._value[kind, index] = self._series(kind, index)
+        return value if sign > 0 else -value
 
     def letter_exp(self, kind, index, sign):
-        """exp of the letter value in the truncated tensor algebra, computed
-        once per letter and sign.  An entry is recomputed when its letter
-        value in `theta_alpha`/`theta_beta` has been replaced since."""
-        value = self.letter_value(kind, index, 1)
-        key = (kind, index, sign)
-        hit = self._exp.get(key)
-        if hit is None or hit[0] is not value:
-            signed = value if sign > 0 else -value
-            hit = (value, t_exp(signed.to_tensor(), self.ctx.max_degree))
-            self._exp[key] = hit
-        return hit[1]
+        """exp of the signed letter value in the truncated tensor algebra."""
+        value = self._exp.get((kind, index, sign))
+        if value is None:
+            value = self._exp[kind, index, sign] = t_exp(
+                self.letter_value(kind, index, sign).to_tensor(), self.ctx.max_degree)
+        return value
 
 
 def theta(word, table):
@@ -180,23 +175,18 @@ def theta(word, table):
     product log(exp theta(l_1) ... exp theta(l_n)), which equals the
     left-to-right BCH fold of the letter values.
 
-    The value is memoized on the table per word and recomputed when one of
-    the letter values it was built from has been replaced since.  It is
-    shared between callers, who must not mutate it.
+    The value is memoized on the table per word and shared between callers,
+    who must not mutate it.
     """
     key = word.letters
-    values = tuple(table.letter_value(kind, index, 1)
-                   for kind, index, _sign in key)
-    hit = table._theta.get(key)
-    if hit is not None and all(map(operator.is_, hit[0], values)):
-        return hit[1]
-    ctx = table.ctx
-    cap = ctx.max_degree
-    prod = {(): Fr(1)}
-    for kind, index, sign in key:
-        prod = t_mul(prod, table.letter_exp(kind, index, sign), cap)
-    value = LieElement(ctx, decompose(t_log(prod, cap)))
-    table._theta[key] = (values, value)
+    value = table._theta.get(key)
+    if value is None:
+        cap = table.ctx.max_degree
+        prod = {(): Fr(1)}
+        for letter in key:
+            prod = t_mul(prod, table.letter_exp(*letter), cap)
+        value = table._theta[key] = LieElement(table.ctx,
+                                               decompose(t_log(prod, cap)))
     return value
 
 
@@ -208,7 +198,7 @@ def symplectic_check(table):
 
 @lru_cache(maxsize=None)
 def get_table(genus, max_degree) -> ExpansionTable:
-    # The expansion cap comes before the Lie layer's class cap, so every
-    # degree above 4 is refused with the expansion's own wording.
+    # The expansion's range comes before the Lie layer's class range, so
+    # every degree outside 1..4 is refused with the expansion's own wording.
     _check_expansion_degree(max_degree)
     return ExpansionTable(get_context(genus, max_degree))

@@ -53,6 +53,27 @@ def test_degree_cap_exit3(capsys, argv):
                        "degree 4\n")
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_degree_below_one_exit3(capsys, degree):
+    # the expansion refuses its own range 1..4, not the Lie layer's class range
+    code, out, err = run(capsys, "theta", "a1+", "--degree", degree)
+    assert code == 3 and out == ""
+    assert err == ("capability error: the expansion is truncated at a degree "
+                   f"in 1..4, got degree {degree}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "a4+"],
+    ["compose", "a4+b4+a4-b4-"],
+], ids=["theta", "compose"])
+def test_generator_out_of_range_exit2(argv):
+    run = _cli_subprocess(*argv, "--genus", "3")
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert "generator index 4 out of range 1..3" in run.stderr
+
+
 def test_theta_json(capsys):
     code, out, _ = run(capsys, "theta", "a1+", "--format", "json")
     assert code == 0
@@ -243,6 +264,22 @@ def test_verify_json_bytes_are_pinned(argv, digest):
 ], ids=["compose-twists-degree4", "compose-bp-degree3", "ranks-genus3"])
 def test_compose_and_ranks_json_bytes_are_pinned(argv, digest):
     # as above, for the twist and bounding-pair values and the L-bar ranks
+    run = run_python("-m", "torelli.cli", *argv, "--format", "json")
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["theta", "a1+b2-a1-b1+a2+", "--genus", "3", "--degree", "4"],
+     "d474338d29fee05ebb2b598c7c28fe877171b61d57f554c68f7e9f53c5cee142"),
+    (["theta", "a1+", "--genus", "30", "--degree", "4"],
+     "701455e1a00bb88bd249edb2807150bf4216ab82f67a2d70cf46e5fcc7e43454"),
+    (["verify", "symplectic", "--genus", "3"],
+     "7eb1a5c2baec5628c2770438fa3eb5fcfbde400a490fde878ebf6050a874baf1"),
+], ids=["theta-word-genus3", "theta-a1-genus30", "symplectic-genus3"])
+def test_theta_and_symplectic_json_bytes_are_pinned(argv, digest):
+    # as above, for the expansion table itself: a mixed word, one letter at
+    # the genus cap, and the boundary-word calibration at degrees 3 and 4
     run = run_python("-m", "torelli.cli", *argv, "--format", "json")
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest

@@ -108,21 +108,50 @@ def test_symplectic_check():
     assert symplectic_check(get_table(2, 4))
 
 
+class _PerturbedTable(ExpansionTable):
+    """The expansion with 1/2 [a1, a2] added to the value of alpha_1."""
+
+    def _series(self, kind, i):
+        value = super()._series(kind, i)
+        if (kind, i) == ("a", 1):
+            value = value + self.ctx.monomial((1, 2), Fraction(1, 2))
+        return value
+
+
 def test_symplectic_check_detects_perturbation():
-    table = ExpansionTable(get_context(3, 3))
-    broken = table.theta_alpha[1] + table.ctx.monomial((1, 2), Fraction(1, 2))
-    table.theta_alpha[1] = broken
-    assert not symplectic_check(table)
+    assert not symplectic_check(_PerturbedTable(get_context(3, 3)))
 
 
-def test_letter_exponentials_follow_a_replaced_letter_value():
-    # theta caches exp of each letter value on the table; replacing a letter
-    # value after a theta call must not leave a stale exponential behind
-    table = ExpansionTable(get_context(3, 3))
+class _CountingTable(ExpansionTable):
+    """The expansion, counting the letter values it builds."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.built = []
+
+    def _series(self, kind, i):
+        self.built.append((kind, i))
+        return super()._series(kind, i)
+
+
+def test_letter_values_are_built_on_first_use():
+    table = _CountingTable(get_context(30, 4))
+    theta(parse_word("a1+"), table)
+    theta(parse_word("a1-a1+"), table)
+    assert table.built == [("a", 1)]
+    table = _CountingTable(get_context(3, 4))
     assert symplectic_check(table)
-    table.theta_alpha[1] = (table.theta_alpha[1]
-                            + table.ctx.monomial((1, 2), Fraction(1, 2)))
-    assert not symplectic_check(table)
+    assert sorted(table.built) == [(k, i) for k in "ab" for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("letter", [("c", 1, 1), ("a", 1, 2), ("b", 1, 0)],
+                         ids=["kind-c", "sign-2", "sign-0"])
+def test_malformed_letters_are_refused(letter):
+    table = get_table(3, 3)
+    with pytest.raises(ValueError, match="malformed letter"):
+        theta(GroupWord([letter]), table)
+    with pytest.raises(ValueError, match="malformed letter"):
+        table.letter_value(*letter)
 
 
 def _bch_fold(word, table):
@@ -143,24 +172,11 @@ def test_theta_equals_bch_fold(rng):
                 assert theta(w, table).terms == _bch_fold(w, table).terms, w
 
 
-def test_theta_is_memoized_and_follows_a_replaced_letter_value():
-    # a second call shares the first result; replacing a letter value that
-    # the word uses makes theta recompute from the new value
+def test_theta_is_memoized():
+    # a second call with an equal word shares the first result
     table = ExpansionTable(get_context(2, 4))
-    word = parse_word("a1+b2-a1-b1+a2+")
-    first = theta(word, table)
+    first = theta(parse_word("a1+b2-a1-b1+a2+"), table)
     assert theta(parse_word("a1+b2-a1-b1+a2+"), table) is first
-    table.theta_alpha[1] = (table.theta_alpha[1]
-                            + table.ctx.monomial((1, 2), Fraction(1, 2)))
-    second = theta(word, table)
-    assert second is not first
-    assert second.terms == _bch_fold(word, table).terms
-    assert second != first
-    # a word without a1 keeps its memo across the replacement
-    other = parse_word("b1+a2-")
-    kept = theta(other, table)
-    table.theta_alpha[1] = table.theta_alpha[1] * 1
-    assert theta(other, table) is kept
 
 
 def test_table_rejects_degree_five():
