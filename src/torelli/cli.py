@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .lie import DegreeCapError, get_context, lbar_rank, witt_rank
@@ -47,22 +48,35 @@ _MAX_GENUS = 30
 
 
 class _Out:
-    """Collects either text lines or JSON records, per the --format flag."""
+    """The one writer of standard output: text lines as they come, or the
+    JSON records at close, per the --format flag.  A reader that closes the
+    pipe early ends the output but not the command: the rest goes to
+    os.devnull, and the exit code stays the command's own."""
 
     def __init__(self, fmt):
         self.fmt = fmt
         self.records = []
 
+    def _write(self, text):
+        try:
+            sys.stdout.write(text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
+
     def emit(self, record, text):
         if self.fmt == "json":
             self.records.append(record)
         else:
-            print(text)
+            self._write(text)
 
     def close(self):
         if self.fmt == "json":
-            json.dump(self.records, sys.stdout, indent=2)
-            print()
+            self._write(json.dumps(self.records, indent=2))
 
 
 def _require_genus(genus):

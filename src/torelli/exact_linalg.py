@@ -2,9 +2,9 @@
 and bit-packed GF(2) subspaces.
 
 Everything is arbitrary precision: integer entries are Python ints, rational
-entries are fractions.Fraction.  No floating point anywhere.  All returned
-objects are immutable (tuples) and safe to share between threads; functions
-are pure.
+entries are fractions.Fraction.  No floating point anywhere.  Lattices and
+row-reduced forms are returned as immutable tuples and the functions are
+pure; a Mod2Subspace is the one mutable object, growing by add.
 """
 
 from __future__ import annotations
@@ -313,24 +313,23 @@ def solve_rational_combination(rows, target):
 # --- GF(2), bit-packed ----------------------------------------------------
 
 class Mod2Subspace:
-    """Subspace of GF(2)^n with rows bit-packed into ints, kept in RREF.
+    """Subspace of GF(2)^n with rows bit-packed into ints.
 
-    Bit i of a row is coordinate i.  The pivot of a row is its lowest set
-    bit, and each pivot bit is set only in its own row.  So a vector reduces
-    by XOR-ing in, for each pivot bit it holds, the row of that pivot, found
-    by lookup in a pivot -> row map; the rows it does not meet are never
-    read.  Only rows pivoted below a new row can hold its pivot bit, so rows
-    added from the highest pivot down touch no other row.  Canonical.
+    Bit i of a row is coordinate i, and the pivot of a row is its lowest set
+    bit.  Rows have distinct pivots but may hold other rows' pivot bits
+    (semi-echelon form), kept in a pivot -> row map and a pivot mask.  A
+    vector reduces by XOR-ing in the row of the lowest pivot bit it holds
+    until it holds none; the rest goes in with no back-elimination.  `rows`
+    reads out the canonical RREF, which has the same pivots, and keeps it.
     """
 
     __slots__ = ("ambient_dim", "_row_of", "_pivot_mask")
 
     def __init__(self, ambient_dim, rows=()):
         self.ambient_dim = ambient_dim
-        self._row_of = {}
-        self._pivot_mask = 0
+        self._row_of, self._pivot_mask = {}, 0
         for r in rows:
-            self.add(r)
+            self._insert(r)
 
     @property
     def pivots(self):
@@ -338,7 +337,19 @@ class Mod2Subspace:
 
     @property
     def rows(self):
-        return [self._row_of[p] for p in self.pivots]
+        """The RREF rows by increasing pivot, stored for the next read: from
+        the highest pivot down, each row XORs in the reduced rows of the
+        other pivot bits it holds, which meet no pivot bit but their own."""
+        row_of = self._row_of
+        for p in sorted(row_of, reverse=True):
+            row = row_of[p]
+            hit = row & self._pivot_mask ^ 1 << p
+            while hit:
+                low = hit & -hit
+                row ^= row_of[low.bit_length() - 1]
+                hit ^= low
+            row_of[p] = row
+        return [row_of[p] for p in sorted(row_of)]
 
     @property
     def rank(self):
@@ -347,28 +358,24 @@ class Mod2Subspace:
     def _reduce(self, vec):
         if vec >> self.ambient_dim:
             raise DimensionMismatch("vector exceeds ambient dimension")
-        # a row meets no pivot bit but its own, so the pivot bits of vec
-        # are fixed up front and each is cleared by exactly one XOR
         hit = vec & self._pivot_mask
         while hit:
-            low = hit & -hit
-            vec ^= self._row_of[low.bit_length() - 1]
-            hit ^= low
+            vec ^= self._row_of[(hit & -hit).bit_length() - 1]
+            hit = vec & self._pivot_mask
+        return vec
+
+    def _insert(self, vec):
+        """Reduce vec, store the rest as a row and return it (0 if none)."""
+        vec = self._reduce(vec)
+        if vec:
+            low = vec & -vec
+            self._row_of[low.bit_length() - 1] = vec
+            self._pivot_mask |= low
         return vec
 
     def add(self, vec):
         """Insert a vector (int bitmask); returns True if the rank grew."""
-        vec = self._reduce(vec)
-        if not vec:
-            return False
-        low = vec & -vec
-        if self._pivot_mask & (low - 1):
-            for p, row in self._row_of.items():
-                if row & low:
-                    self._row_of[p] = row ^ vec
-        self._row_of[low.bit_length() - 1] = vec
-        self._pivot_mask |= low
-        return True
+        return bool(self._insert(vec))
 
     def contains(self, vec):
         return self._reduce(vec) == 0
@@ -376,7 +383,7 @@ class Mod2Subspace:
     def __eq__(self, other):
         return (isinstance(other, Mod2Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self._row_of == other._row_of)
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.ambient_dim, tuple(self.rows)))
@@ -395,42 +402,23 @@ def gf2_apply(images, vec):
     return out
 
 
-class _SemiEchelon:
-    """Rows with distinct lowest bits (pivots), which other rows may hold.
-    A vector reduces by XOR-ing in the row of its lowest pivot bit until it
-    holds none, and its rest is inserted without back-elimination."""
-
-    def __init__(self):
-        self.row_of, self.pivots = {}, 0
-
-    def insert(self, vec):
-        """Reduce vec, insert the rest and return it (0 if in the span)."""
-        hit = vec & self.pivots
-        while hit:
-            vec ^= self.row_of[(hit & -hit).bit_length()]
-            hit = vec & self.pivots
-        if vec:
-            self.row_of[(vec & -vec).bit_length()] = vec
-            self.pivots |= vec & -vec
-        return vec
-
-
 def gf2_kernel(images, ambient_dim, codomain_dim):
     """Kernel of the map basis i -> images[i] as a Mod2Subspace of the domain.
 
     The graph vectors image(p) | e_p << codomain_dim go in from the top p
     down.  J, the p whose image is independent of those above, has at most
     codomain_dim members; any other p reduces to the kernel row
-    e_p + sum c_j e_j over j in J above p.  These are the RREF rows, added
+    e_p + sum c_j e_j over j in J above p.  These are the RREF rows, stored
     from the highest pivot down: O(ambient_dim * codomain_dim) XORs.
     """
-    graph, ker = _SemiEchelon(), Mod2Subspace(ambient_dim)
+    graph = Mod2Subspace(ambient_dim + codomain_dim)
+    ker = Mod2Subspace(ambient_dim)
     for p in range(ambient_dim - 1, -1, -1):
         if images[p] >> codomain_dim:
             raise DimensionMismatch("image exceeds codomain dimension")
-        vec = graph.insert(images[p] | 1 << (codomain_dim + p))
+        vec = graph._insert(images[p] | 1 << (codomain_dim + p))
         if not vec & ((1 << codomain_dim) - 1):
-            ker.add(vec >> codomain_dim)
+            ker._insert(vec >> codomain_dim)
     return ker
 
 
@@ -443,8 +431,7 @@ def gf2_span_closure(seeds, actions, ambient_dim):
     Each vector v taken from the worklist already lies in the span, so T(v)
     does exactly when the moved part N(v) = T(v) - v does.  T fixes the
     basis vectors outside its moved mask, so N(v) = T(u) - u with u the part
-    of v on that mask.  The span grows in semi-echelon form; one pass from
-    its highest pivot down then yields the canonical RREF.
+    of v on that mask.  Returns the span as it grew, in semi-echelon form.
     """
     moved = []
     for act in actions:
@@ -452,16 +439,13 @@ def gf2_span_closure(seeds, actions, ambient_dim):
             raise DimensionMismatch("action is not a map of the ambient space")
         mask = sum(1 << i for i, image in enumerate(act) if image != 1 << i)
         moved.append((act, mask))
-    span = _SemiEchelon()
-    work = [w for w in map(span.insert, seeds) if w]
-    if max(work, default=0) >> ambient_dim:  # a wide seed leaves a wide rest
-        raise DimensionMismatch("seed exceeds ambient dimension")
+    span = Mod2Subspace(ambient_dim)
+    work = [w for w in map(span._insert, seeds) if w]
     for v in work:  # the loop also visits the rows appended in it
         for act, mask in moved:
             u = v & mask
             if u:
-                w = span.insert(gf2_apply(act, u) ^ u)
+                w = span._insert(gf2_apply(act, u) ^ u)
                 if w:
                     work.append(w)
-    return Mod2Subspace(ambient_dim, (span.row_of[p] for p in
-                                      sorted(span.row_of, reverse=True)))
+    return span

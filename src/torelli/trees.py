@@ -175,8 +175,7 @@ class TreeSum(SparseCombination):
 
     def _pairing_product(self, other, pairing):
         self._check(other)
-        g = self.genus
-        out = TreeSum(g)
+        g, out = self.genus, TreeSum(self.genus)
         for (u1, v1), c1 in self.terms.items():
             if tree_size(u1) + tree_size(v1) == 2:
                 raise ValueError("degree-0 join cannot be glued")
@@ -184,8 +183,9 @@ class TreeSum(SparseCombination):
             for (u2, v2), c2 in other.terms.items():
                 if tree_size(u2) + tree_size(v2) == 2:
                     raise ValueError("degree-0 join cannot be glued")
+                dec2 = join_leaf_decompositions(u2, v2)
                 for x, tx in dec1:
-                    for y, ty in join_leaf_decompositions(u2, v2):
+                    for y, ty in dec2:
                         w = pairing(g, x, y)
                         if w:
                             out.add_join(tx, ty, c1 * c2 * w)

@@ -1,7 +1,12 @@
 import contextlib
+import fcntl
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -304,6 +309,30 @@ def test_r_json_bytes_are_pinned(genus, digest):
 
 def _cli_subprocess(*argv, optimize=False):
     return run_python("-m", "torelli.cli", *argv, optimize=optimize)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_is_not_an_error(fmt):
+    # a reader that takes 10 bytes and closes the pipe, like `| head -c 10`;
+    # the pipe holds one page, so the rest of the output meets a closed pipe
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torelli.cli", "theta",
+         "a1+b1+a2+b2+a3+b3+a4+b4+", "--genus", "4", "--degree", "4",
+         "--format", fmt],
+        stdout=write_end, stderr=subprocess.PIPE, text=True,
+        env={"PYTHONPATH": str(src)})
+    os.close(write_end)
+    head = os.read(read_end, 10)
+    os.close(read_end)
+    err = proc.communicate(timeout=120)[1]
+    assert len(head) == 10
+    assert proc.returncode == 0, err
+    for bad in ("Traceback", "input error", "Exception ignored"):
+        assert bad not in err
 
 
 @pytest.mark.parametrize("spec", [

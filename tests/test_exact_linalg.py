@@ -395,19 +395,28 @@ def _gf2_closure_case(draw):
     vector = st.one_of(st.just(0), st.integers(0, (1 << dim) - 1))
     seeds = draw(st.lists(vector, max_size=3))
     actions = draw(st.lists(_gf2_action(dim), max_size=3))
-    return dim, seeds, actions
+    return dim, seeds, actions, draw(st.lists(vector, max_size=6))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_gf2_closure_case())
 def test_gf2_closure_against_naive_oracle(case):
     # the smallest invariant span, not just an invariant one
-    dim, seeds, actions = case
+    dim, seeds, actions, probes = case
     space = gf2_span_closure(seeds, actions, dim)
     rows, pivots = _oracle_closure(seeds, actions, dim)
     assert space.rows == rows
     assert space.pivots == pivots
     assert space.rank == len(rows)
+    # the closure returns its span as it grew, in semi-echelon form: later
+    # membership tests and insertions must see all of it before any RREF
+    # read-out, and the read-out must take the insertions in
+    grown = gf2_span_closure(seeds, actions, dim)
+    oracle = _OracleSubspace(dim, rows)
+    for p in probes:
+        assert grown.contains(p) == oracle.contains(p)
+        assert grown.add(p) == oracle.add(p)
+    _assert_matches_oracle(grown, oracle, probes)
 
 
 @st.composite
@@ -449,8 +458,8 @@ def test_mod2_subspace_against_naive_oracle(case):
         st.lists(st.integers(0, (1 << cod) - 1), min_size=dim, max_size=dim))),
     st.lists(st.integers(0, (1 << dim) - 1), max_size=6))))
 def test_gf2_kernel_subspace_against_naive_oracle(case):
-    # gf2_kernel writes its RREF rows from the top pivot down, so add never
-    # back-eliminates them: membership and later insertions must see every
+    # gf2_kernel stores its RREF rows from the top pivot down: membership
+    # and later insertions, which never back-eliminate, must see every
     # kernel row
     dim, (cod, images), probes = case
     ker = gf2_kernel(images, dim, cod)

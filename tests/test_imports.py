@@ -1,8 +1,10 @@
 """Dead-import check: every module-level import of the package modules and
 the tests is read somewhere in its file.  The package `__init__` is left out
-because its imports are the public names it re-exports."""
+because its imports are the public names it re-exports.  Also: every layer
+function that the benchmark's tracer wraps by name still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,13 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # the tracer looks its targets up by name, so a renamed layer function
+    # would otherwise show only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("tracer")
+    for _group, owner, names, _key in tracer.TARGETS:
+        for name in names:
+            assert callable(getattr(owner, name, None)), (owner, name)
