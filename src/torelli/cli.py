@@ -1,5 +1,13 @@
 """Command-line front end.
 
+Each subcommand declares its genus cap (`_MAX_GENUS` or
+`_SP_KERNEL_MAX_GENUS`, with their measured bases below) and its default
+--degree in `make_parser`; the library raises the lower genus bounds of the
+mathematics.  A handler only computes and yields (ok, record, text), ok
+being a check's verdict or None for a report; `main` alone refuses a genus
+above the cap before the handler runs, emits each triple as it comes and
+picks the exit code.
+
 Exit codes: 0 success/pass, 1 verification mismatch, 2 malformed input,
 3 capability/precondition errors (degree caps, genus out of range, a
 degree never computed).
@@ -12,7 +20,7 @@ import json
 import os
 import sys
 
-from .lie import DegreeCapError, get_context, lbar_rank, witt_rank
+from .lie import DegreeCapError, LieContext, get_context, lbar_rank, witt_rank
 from .mcg import (BoundingPairMap, Commutator, Conjugate, Inverse, Product,
                   SeparatingTwist, WindowUnderflow, factor_value, r_mod1,
                   theorem_b_report)
@@ -34,16 +42,17 @@ _SP_KERNEL_MAX_GENUS = 16
 # lcst --md, and largest --max-genus of verify lower-bounds.  Measured cold
 # on a 2-core x86-64 machine with Python 3.11:
 # - verify symplectic multiplies out the 4g-letter boundary word through
-#   degree 4: 4.3 s / 24 MB at genus 30, 11-14 s / 31 MB at 40 and 34 s /
-#   40 MB at 50.  theta and compose of short words took under 0.3 s / 20 MB
-#   at genus 30; the table builds only the letter values a word uses, so
-#   theta a1+ at degree 4 took 0.06-0.13 s / 15 MB at genus 30.
+#   degree 4: 1.0-2.0 s / 24 MB at genus 30, and in process 2.3 s / 30 MB
+#   at 40 and 4.2 s / 37 MB at 50.  theta and compose of short words took
+#   under 0.3 s / 20 MB at genus 30; the table builds only the letter values
+#   a word uses, so theta a1+ at degree 4 took 0.06-0.13 s / 15 MB at 30.
 # - the degree-4 lattices list Lyndon words on the support of one
 #   multidegree only, so the L_3 word lists on 2g letters grow fastest:
 #   verify theorem-b took 0.46 s / 29 MB at genus 30, 0.83 s / 44 MB at 40
 #   and 1.2 s / 69 MB at 50; verify lcst --md and R of a commutator of two
 #   twists stayed under 0.6 s / 20 MB at genus 30.
-# - verify lower-bounds caches the L_3 word lists of genus 2..30: 58 MB.
+# - verify lower-bounds lists the L_3 words of one genus at a time: 0.4 s /
+#   26 MB at --max-genus 30.
 _MAX_GENUS = 30
 
 
@@ -79,26 +88,23 @@ class _Out:
             self._write(json.dumps(self.records, indent=2))
 
 
-def _require_genus(genus):
-    if genus > _MAX_GENUS:
-        raise DegreeCapError(f"this command runs up to genus {_MAX_GENUS}, "
-                             f"got genus {genus}")
+def _degrees(args):
+    """The --degree given, else the degrees the command declares."""
+    return args.default_degrees if args.degree is None else (args.degree,)
 
 
 def _table(args):
-    return get_table(args.genus, args.degree if args.degree is not None else 3)
+    (degree,) = _degrees(args)
+    return get_table(args.genus, degree)
 
 
-def cmd_theta(args, out):
-    _require_genus(args.genus)
+def cmd_theta(args):
     text = sys.stdin.read().strip() if args.word == "-" else args.word
-    word = parse_word(text)
-    value = theta(word, _table(args))
-    out.emit({"word": text, "theta": value.to_json()}, value.render())
-    return PASS
+    value = theta(parse_word(text), _table(args))
+    yield None, {"word": text, "theta": value.to_json()}, value.render()
 
 
-def cmd_ranks(args, out):
+def cmd_ranks(args):
     g = args.genus
     lines = []
     rec = {"genus": g, "free_lie_ranks": {}, "derivation_dims": {},
@@ -115,8 +121,7 @@ def cmd_ranks(args, out):
         computed = lbar_rank(get_context(g, 3), 3)
         rec["closed_lie3_rank_computed"] = computed
         lines.append(f"  (recomputed from the ideal: {computed})")
-    out.emit(rec, "\n".join(lines))
-    return PASS
+    yield None, rec, "\n".join(lines)
 
 
 def _field(body, key, path):
@@ -221,22 +226,15 @@ def _value_report(value):
     return rec, lines
 
 
-def cmd_compose(args, out):
-    _require_genus(args.genus)
+def cmd_compose(args):
     factor = _load_spec(args.spec)
-    value = factor_value(_table(args), factor)
-    rec, lines = _value_report(value)
-    out.emit(rec, "\n".join(lines))
-    return PASS
+    rec, lines = _value_report(factor_value(_table(args), factor))
+    yield None, rec, "\n".join(lines)
 
 
-def cmd_r(args, out):
-    _require_genus(args.genus)
+def cmd_r(args):
     factor = _load_spec(args.spec)
-    if args.degree is None:
-        args.degree = 4
-    value = factor_value(_table(args), factor)
-    result = r_mod1(value)
+    result = r_mod1(factor_value(_table(args), factor))
     rec = {
         "zero_mod_1": result.is_zero,
         "failing_multidegrees": [list(md) for md in result.failing_multidegrees],
@@ -250,49 +248,34 @@ def cmd_r(args, out):
                      + ", ".join(str(md) for md in result.failing_multidegrees))
     if result.odd_denominators:
         lines.append(f"denominators outside powers of 2: {result.odd_denominators}")
-    out.emit(rec, "\n".join(lines))
-    return PASS
+    yield None, rec, "\n".join(lines)
 
 
-def cmd_verify_symplectic(args, out):
-    _require_genus(args.genus)
-    degrees = [args.degree] if args.degree is not None else [3, 4]
-    ok = True
-    for n in degrees:
-        good = symplectic_check(get_table(args.genus, n))
-        ok = ok and good
-        out.emit({"genus": args.genus, "degree": n, "ok": good},
-                 f"{'PASS' if good else 'FAIL'} boundary word maps to omega "
-                 f"(genus {args.genus}, degree {n})")
-    return PASS if ok else MISMATCH
+def cmd_verify_symplectic(args):
+    for n in _degrees(args):
+        ok = symplectic_check(get_table(args.genus, n))
+        yield (ok, {"genus": args.genus, "degree": n, "ok": ok},
+               f"boundary word maps to omega (genus {args.genus}, degree {n})")
 
 
-def cmd_verify_theorem_b(args, out):
-    if args.genus < 3:
-        raise DegreeCapError("the construction needs genus >= 3")
-    _require_genus(args.genus)
+def cmd_verify_theorem_b(args):
     stages, _rep = theorem_b_report(_table(args))
-    ok = True
     for s in stages:
-        ok = ok and s["ok"]
-        out.emit(s, f"{'PASS' if s['ok'] else 'FAIL'} {s['stage']}: {s['detail']}")
-    return PASS if ok else MISMATCH
+        yield s["ok"], s, f"{s['stage']}: {s['detail']}"
 
 
-def cmd_verify_lcst(args, out):
+def cmd_verify_lcst(args):
     g = args.genus
     if args.md:
-        _require_genus(g)
         md = tuple(int(x) for x in args.md.split(","))
         if len(md) != 2 * g or sum(md) != 6 or any(c < 0 for c in md):
             raise ValueError("multidegree must be 2g nonnegative counts summing to 6")
         diag = lcst_component_diagonal(g, md)
         twos = sum(1 for d in diag if d == 2)
         ok = set(diag) <= {1, 2}
-        out.emit({"genus": g, "md": list(md), "diagonal": diag, "ok": ok},
-                 f"{'PASS' if ok else 'FAIL'} component {md}: diagonal {diag} "
-                 f"({twos} factors of 2)")
-        return PASS if ok else MISMATCH
+        yield (ok, {"genus": g, "md": list(md), "diagonal": diag, "ok": ok},
+               f"component {md}: diagonal {diag} ({twos} factors of 2)")
+        return
     if g > 2:
         raise DegreeCapError(
             "the full quotient is computed at genus 1 or 2; pass --md for "
@@ -301,53 +284,36 @@ def cmd_verify_lcst(args, out):
     twos = sum(1 for d in diag if d == 2)
     expected = witt_rank(2 * g, 3)
     ok = set(diag) <= {1, 2} and twos == expected
-    out.emit({"genus": g, "diagonal": diag, "twos": twos, "expected": expected,
-              "ok": ok},
-             f"{'PASS' if ok else 'FAIL'} full degree-4 quotient: "
-             f"(Z/2)^{twos}, expected exponent {expected}")
-    return PASS if ok else MISMATCH
+    yield (ok, {"genus": g, "diagonal": diag, "twos": twos,
+                "expected": expected, "ok": ok},
+           f"full degree-4 quotient: (Z/2)^{twos}, expected exponent {expected}")
 
 
-def cmd_verify_sp_kernel(args, out):
-    if args.genus < 3:
-        raise DegreeCapError("the orbit-span identification needs genus >= 3")
-    if args.genus > _SP_KERNEL_MAX_GENUS:
-        raise DegreeCapError(
-            f"the orbit span is computed up to genus {_SP_KERNEL_MAX_GENUS}")
-    ok, span_dim, ker_dim = verify_kernel_lemma(args.genus)
-    ses_ok, ker = verify_ses(args.genus)
-    good = ok and ses_ok
-    out.emit({"genus": args.genus, "ok": good, "span_dim": span_dim,
-              "kernel_dim": ker_dim},
-             f"{'PASS' if good else 'FAIL'} orbit span {span_dim} == "
-             f"contraction kernel {ker_dim}")
-    return PASS if good else MISMATCH
+def cmd_verify_sp_kernel(args):
+    same, span_dim, ker_dim = verify_kernel_lemma(args.genus)
+    ses_ok, _ker = verify_ses(args.genus)
+    ok = same and ses_ok
+    yield (ok, {"genus": args.genus, "ok": ok, "span_dim": span_dim,
+                "kernel_dim": ker_dim},
+           f"orbit span {span_dim} == contraction kernel {ker_dim}")
 
 
-def cmd_verify_lower_bounds(args, out):
+def cmd_verify_lower_bounds(args):
     """Compare the Witt-rank exponents with the closed forms and with a count
     of the Lyndon basis of L_3."""
-    if args.max_genus < 2:
-        raise DegreeCapError("genus out of range: the bounds start at genus 2, "
-                             f"got --max-genus {args.max_genus}")
-    if args.max_genus > _MAX_GENUS:
-        raise DegreeCapError("the bounds are checked up to genus "
-                             f"{_MAX_GENUS}, got --max-genus "
-                             f"{args.max_genus}")
-    ok = True
-    for g in range(2, args.max_genus + 1):
+    # a --max-genus below 2 is itself checked, so the library refuses it
+    for g in range(min(2, args.max_genus), args.max_genus + 1):
         bordered, closed = lower_bound_exponents(g)
-        words = get_context(g, 3).lyndon_basis(3)
+        # a fresh context, so no word list outlives its genus
+        words = LieContext(g, 3).lyndon_basis(3)
         a_words = sum(1 for w in words if max(w) <= g)
-        good = (3 * bordered == 8 * (g ** 3 - g)
-                and 3 * closed == g ** 3 - 4 * g
-                and bordered == len(words) - 2 * g
-                and closed == a_words - g)
-        ok = ok and good
-        out.emit({"genus": g, "bordered": bordered, "closed": closed, "ok": good},
-                 f"{'PASS' if good else 'FAIL'} g={g}: bordered 2^{bordered}, "
-                 f"closed 2^{closed}")
-    return PASS if ok else MISMATCH
+        ok = (3 * bordered == 8 * (g ** 3 - g)
+              and 3 * closed == g ** 3 - 4 * g
+              and bordered == len(words) - 2 * g
+              and closed == a_words - g)
+        yield (ok, {"genus": g, "bordered": bordered, "closed": closed,
+                    "ok": ok},
+               f"g={g}: bordered 2^{bordered}, closed 2^{closed}")
 
 
 def make_parser():
@@ -357,63 +323,67 @@ def make_parser():
                         help="nilpotency class for the expansion (2..4)")
     common.add_argument("--format", choices=("text", "json"), default="text")
 
+    def command(subparsers, name, func, cap, degrees=None, capped="genus",
+                **kwargs):
+        """A subcommand whose `capped` option may not exceed `cap` (None: no
+        cap) and whose expansion runs at `degrees` when --degree is absent.
+        The defaults go to dests of their own: the parents share their
+        actions, so set_defaults(degree=...) would change every command."""
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(func=func, genus_cap=(capped, cap),
+                       default_degrees=degrees)
+        return p
+
     parser = argparse.ArgumentParser(
         prog="torelli",
         description="Exact computations with tree diagrams, symplectic "
                     "expansions and Johnson homomorphisms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("theta", parents=[common],
-                       help="print the expansion of a group word")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_theta)
+    command(sub, "theta", cmd_theta, _MAX_GENUS, (3,),
+            help="print the expansion of a group word").add_argument("word")
+    command(sub, "ranks", cmd_ranks, None, help="rank table of the graded pieces")
+    command(sub, "compose", cmd_compose, _MAX_GENUS, (3,),
+            help="compose a JSON factor spec").add_argument("spec")
+    command(sub, "R", cmd_r, _MAX_GENUS, (4,),
+            help="mod-1 class of the degree-4 part of a spec").add_argument("spec")
 
-    p = sub.add_parser("ranks", parents=[common],
-                       help="rank table of the graded pieces")
-    p.set_defaults(func=cmd_ranks)
-
-    p = sub.add_parser("compose", parents=[common],
-                       help="compose a JSON factor spec")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("R", parents=[common],
-                       help="mod-1 class of the degree-4 part of a spec")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_r)
-
-    v = sub.add_parser("verify", help="run a verification")
-    vsub = v.add_subparsers(dest="check", required=True)
-
-    p = vsub.add_parser("symplectic", parents=[common])
-    p.set_defaults(func=cmd_verify_symplectic)
-
-    p = vsub.add_parser("theorem-b", parents=[common])
-    p.set_defaults(func=cmd_verify_theorem_b)
-
-    p = vsub.add_parser("lcst", parents=[common])
-    p.add_argument("--md", default=None,
-                   help="comma-separated multidegree for a single component")
-    p.set_defaults(func=cmd_verify_lcst)
-
-    p = vsub.add_parser("sp-kernel", parents=[common])
-    p.set_defaults(func=cmd_verify_sp_kernel)
-
-    p = vsub.add_parser("lower-bounds", parents=[common])
-    p.add_argument("--max-genus", type=int, default=8)
-    p.set_defaults(func=cmd_verify_lower_bounds)
-
+    vsub = sub.add_parser("verify", help="run a verification").add_subparsers(
+        dest="check", required=True)
+    command(vsub, "symplectic", cmd_verify_symplectic, _MAX_GENUS, (3, 4))
+    command(vsub, "theorem-b", cmd_verify_theorem_b, _MAX_GENUS, (3,))
+    command(vsub, "lcst", cmd_verify_lcst, _MAX_GENUS).add_argument(
+        "--md", default=None,
+        help="comma-separated multidegree for a single component")
+    command(vsub, "sp-kernel", cmd_verify_sp_kernel, _SP_KERNEL_MAX_GENUS)
+    command(vsub, "lower-bounds", cmd_verify_lower_bounds, _MAX_GENUS,
+            capped="max_genus").add_argument("--max-genus", type=int, default=8)
     return parser
 
 
+def _refuse_genus(args):
+    """Every command refuses a genus below 1, and a capped command refuses
+    its capped option above the cap, before any work."""
+    if args.genus < 1:
+        raise DegreeCapError(f"genus out of range: {args.genus} < 1")
+    capped, cap = args.genus_cap
+    genus = getattr(args, capped)
+    if cap is not None and genus > cap:
+        raise DegreeCapError(f"this command runs up to genus {cap}, got "
+                             f"--{capped.replace('_', '-')} {genus}")
+
+
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     out = _Out(args.format)
+    passed = True
     try:
-        if args.genus < 1:
-            raise DegreeCapError(f"genus out of range: {args.genus} < 1")
-        code = args.func(args, out)
+        _refuse_genus(args)
+        for ok, record, text in args.func(args):
+            if ok is not None:
+                passed = passed and ok
+                text = f"{'PASS' if ok else 'FAIL'} {text}"
+            out.emit(record, text)
     except WordParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
@@ -424,7 +394,7 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     out.close()
-    return code
+    return PASS if passed else MISMATCH
 
 
 if __name__ == "__main__":

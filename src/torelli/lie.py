@@ -118,20 +118,25 @@ def t_add_into(acc, poly, scale=1):
 
 
 def t_mul(p, q, cap):
+    by_length = {}
+    for w2, c2 in q.items():
+        by_length.setdefault(len(w2), []).append((w2, c2))
+    lengths = sorted(by_length)
     out = {}
     for w1, c1 in p.items():
         room = cap - len(w1)
-        if room < 0:
-            continue
-        for w2, c2 in q.items():
-            if len(w2) > room:
-                continue
-            w = w1 + w2
-            v = out.get(w, 0) + c1 * c2
-            if v:
-                out[w] = v
-            else:
-                del out[w]
+        for n in lengths:
+            if n > room:
+                break
+            for w2, c2 in by_length[n]:
+                w = w1 + w2
+                v = out.get(w)
+                if v is None:
+                    out[w] = c1 * c2
+                elif v := v + c1 * c2:
+                    out[w] = v
+                else:
+                    del out[w]
     return out
 
 

@@ -492,7 +492,8 @@ def phi_data(genus):
     genus >= 3.
     """
     if genus < 3:
-        raise ValueError("phi needs genus >= 3")
+        raise DegreeCapError("the construction of phi needs genus >= 3, "
+                             f"got genus {genus}")
     a1, b1 = parse_word("a1+"), parse_word("b1+")
     a2, b2 = parse_word("a2+"), parse_word("b2+")
     a3, b3 = parse_word("a3+"), parse_word("b3+")

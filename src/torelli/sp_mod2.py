@@ -12,7 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_linalg import gf2_apply, gf2_kernel, gf2_span_closure
-from .lie import get_context, standard_bracketing, witt_rank
+from .lie import (DegreeCapError, get_context, standard_bracketing,
+                  witt_rank)
 
 
 def _pair(genus, x, y):
@@ -241,7 +242,8 @@ def verify_kernel_lemma(genus):
     """Whether the Sp-orbit span of [[a_1,a_2],a_3] is the whole contraction
     kernel.  Returns (ok, span_dim, kernel_dim).  Needs genus >= 3."""
     if genus < 3:
-        raise ValueError("the orbit-span identification needs genus >= 3")
+        raise DegreeCapError("the orbit-span identification needs genus >= 3, "
+                             f"got genus {genus}")
     seed = tree_mod2_bits(genus, ((1, 2), 3))
     span = orbit_span(genus, seed)
     ker = stigma_kernel(genus)
@@ -255,7 +257,8 @@ def lower_bound_exponents(genus):
     closed   = rk L_3(A) - rk A, which should equal (1/3)(g^3 - 4g)
     """
     if genus < 2:
-        raise ValueError("the lower bounds need genus >= 2")
+        raise DegreeCapError("the lower bounds start at genus 2, got genus "
+                             f"{genus}")
     bordered = witt_rank(2 * genus, 3) - 2 * genus
     closed = witt_rank(genus, 3) - genus
     return bordered, closed

@@ -2,6 +2,7 @@
 independent reimplementation of the leaf-rerooting map used as an oracle, and
 a fresh-interpreter runner for checks that must survive python -O."""
 
+import os
 import random
 import subprocess
 import sys
@@ -27,15 +28,23 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def python_env():
+    """The environment of a fresh interpreter on the package sources.  It
+    keeps PYTHONDONTWRITEBYTECODE where that is set, so such a test run
+    leaves no bytecode in the source tree."""
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 def run_python(*argv, optimize=True):
     """Run `python -O argv...` (plain `python` when optimize is false) in a
     fresh interpreter on the package sources, capturing text output.  Math
     checks are explicit raises, so they must behave the same under -O."""
-    src = Path(__file__).resolve().parents[1] / "src"
     flags = ["-O"] if optimize else []
-    return subprocess.run([sys.executable, *flags, *argv],
-                          env={"PYTHONPATH": str(src)}, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *flags, *argv], env=python_env(),
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture

@@ -6,15 +6,15 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import SEED, run_python
+from conftest import SEED, python_env, run_python
 from torelli import cli
 from torelli.cli import main
+from torelli.lie import DegreeCapError
 
 
 def run(capsys, *argv):
@@ -318,13 +318,11 @@ def test_closed_stdout_is_not_an_error(fmt):
     read_end, write_end = os.pipe()
     if hasattr(fcntl, "F_SETPIPE_SZ"):
         fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
-    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.Popen(
         [sys.executable, "-m", "torelli.cli", "theta",
          "a1+b1+a2+b2+a3+b3+a4+b4+", "--genus", "4", "--degree", "4",
          "--format", fmt],
-        stdout=write_end, stderr=subprocess.PIPE, text=True,
-        env={"PYTHONPATH": str(src)})
+        stdout=write_end, stderr=subprocess.PIPE, text=True, env=python_env())
     os.close(write_end)
     head = os.read(read_end, 10)
     os.close(read_end)
@@ -397,6 +395,7 @@ def test_verify_lower_bounds_catches_wrong_rank(capsys, monkeypatch):
     ["verify", "symplectic", "--genus", "31"],
     ["theta", "a1+", "--genus", "31"],
     ["compose", "a1+b1+a1-b1-", "--genus", "31"],
+    ["verify", "sp-kernel", "--genus", "2"],
 ])
 def test_out_of_range_genus_exit3(argv):
     run = _cli_subprocess(*argv)
@@ -430,11 +429,28 @@ def test_sp_kernel_limit_refused_before_work(capsys, monkeypatch):
     assert f"up to genus {cli._SP_KERNEL_MAX_GENUS}" in err
 
 
+def test_text_verdicts_stream_before_an_error(capsys, monkeypatch):
+    # main writes each verdict as the handler yields it: the genus-2 line is
+    # out before the genus-3 bounds are even computed
+    real = cli.lower_bound_exponents
+    written = []
+
+    def fail_at_genus3(g):
+        if g == 3:
+            written.append(capsys.readouterr().out)
+            raise DegreeCapError("stop at genus 3")
+        return real(g)
+    monkeypatch.setattr(cli, "lower_bound_exponents", fail_at_genus3)
+    code, out, err = run(capsys, "verify", "lower-bounds", "--max-genus", "4")
+    assert written == ["PASS g=2: bordered 2^16, closed 2^0\n"]
+    assert (code, out, err) == (3, "", "capability error: stop at genus 3\n")
+
+
 def test_lower_bounds_limit_refused_before_work(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("lower-bounds started work above its genus limit")
     monkeypatch.setattr(cli, "lower_bound_exponents", work)
-    monkeypatch.setattr(cli, "get_context", work)
+    monkeypatch.setattr(cli, "LieContext", work)
     code, out, err = run(capsys, "verify", "lower-bounds", "--max-genus",
                          str(cli._MAX_GENUS + 1))
     assert code == 3 and out == ""

@@ -88,6 +88,25 @@ def test_bracket_jacobi_rewrite_against_tensor_oracle():
     assert lhs.to_tensor() == oracle
 
 
+def test_t_mul_against_pairwise_product():
+    # t_mul walks q by word length and stops at the first length past the
+    # room left; the oracle multiplies every pair and drops the long ones.
+    # Like every tensor polynomial here, p and q hold nonzero coefficients.
+    rng = random.Random(SEED)
+    for _ in range(200):
+        # two letters and short words, so products collide and cancel
+        p, q = ({tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 3))):
+                 Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 8))} for _ in range(2))
+        cap = rng.randint(0, 6)
+        oracle = {}
+        for w1, c1 in p.items():
+            for w2, c2 in q.items():
+                if len(w1) + len(w2) <= cap:
+                    t_add_into(oracle, {w1 + w2: c1 * c2})
+        assert t_mul(p, q, cap) == {w: c for w, c in oracle.items() if c}
+
+
 def test_bracket_properties_random():
     rng = random.Random(SEED)
     ctx = get_context(2, 4)

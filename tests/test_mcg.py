@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import SEED, rand_null_word, rand_word, twist_lifts, twist_pool
-from torelli.lie import (MAX_CLASS, LieContext, _bracket_words, _expand_tree,
-                         _expansion, decompose, get_context, lyndon_words,
-                         standard_bracketing, t_add_into, t_mul)
+from torelli.lie import (MAX_CLASS, DegreeCapError, LieContext, _bracket_words,
+                         _expand_tree, _expansion, decompose, get_context,
+                         lyndon_words, standard_bracketing, t_add_into, t_mul)
 from torelli.mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
                          Inverse, NotInFiltration, Product, SeparatingTwist,
                          WindowUnderflow, bounding_pair_value, build_phi,
@@ -579,7 +579,7 @@ def test_phi_at_genus_four():
 
 
 def test_phi_needs_genus_three():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeCapError):
         phi_data(2)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import SEED, run_python
 from torelli.exact_linalg import gf2_apply
-from torelli.lie import get_context, standard_bracketing, witt_rank
+from torelli.lie import (DegreeCapError, get_context, standard_bracketing,
+                         witt_rank)
 from torelli.sp_mod2 import (SpTransformation, action_matrix, l3_mod2_bits,
                              lower_bound_exponents, omega_bracket_bits,
                              orbit_span, project_l3_to_a, standard_generators,
@@ -264,7 +265,7 @@ def test_kernel_lemma(g):
 
 
 def test_kernel_lemma_needs_genus3():
-    with pytest.raises(ValueError):
+    with pytest.raises(DegreeCapError):
         verify_kernel_lemma(2)
 
 
