@@ -2,15 +2,16 @@
 
 Each subcommand declares its genus cap (`_MAX_GENUS` or
 `_SP_KERNEL_MAX_GENUS`, with their measured bases below) and its default
---degree in `make_parser`; the library raises the lower genus bounds of the
-mathematics.  A handler only computes and yields (ok, record, text), ok
-being a check's verdict or None for a report; `main` alone refuses a genus
-above the cap before the handler runs, emits each triple as it comes and
-picks the exit code.
+--degree in `make_parser`, and takes only the options it uses, so argparse
+refuses an ignored --genus or --degree; the library raises the lower genus
+bounds of the mathematics.  A handler only computes and yields (ok, record,
+text), ok being a check's verdict or None for a report; `main` alone refuses
+a genus above the cap before the handler runs, emits each triple as it comes
+and picks the exit code.
 
-Exit codes: 0 success/pass, 1 verification mismatch, 2 malformed input,
-3 capability/precondition errors (degree caps, genus out of range, a
-degree never computed).
+Exit codes: 0 success/pass, 1 verification mismatch, 2 malformed input or an
+option the command does not use, 3 capability/precondition errors (degree
+caps, genus out of range, a degree never computed).
 """
 
 from __future__ import annotations
@@ -42,15 +43,17 @@ _SP_KERNEL_MAX_GENUS = 16
 # lcst --md, and largest --max-genus of verify lower-bounds.  Measured cold
 # on a 2-core x86-64 machine with Python 3.11:
 # - verify symplectic multiplies out the 4g-letter boundary word through
-#   degree 4: 1.0-2.0 s / 24 MB at genus 30, and in process 2.3 s / 30 MB
-#   at 40 and 4.2 s / 37 MB at 50.  theta and compose of short words took
-#   under 0.3 s / 20 MB at genus 30; the table builds only the letter values
-#   a word uses, so theta a1+ at degree 4 took 0.06-0.13 s / 15 MB at 30.
+#   degree 4 on integer numerators: 0.26-0.52 s / 24 MB at genus 30, and in
+#   process 0.5 s / 30 MB at 40 and 1.1 s / 41 MB at 50.  theta and compose
+#   of short words took under 0.3 s / 20 MB at genus 30; the table builds
+#   only the letter values a word uses, so theta a1+ at degree 4 took
+#   0.06-0.13 s / 15 MB at 30.
 # - the degree-4 lattices list Lyndon words on the support of one
 #   multidegree only, so the L_3 word lists on 2g letters grow fastest:
-#   verify theorem-b took 0.46 s / 29 MB at genus 30, 0.83 s / 44 MB at 40
-#   and 1.2 s / 69 MB at 50; verify lcst --md and R of a commutator of two
-#   twists stayed under 0.6 s / 20 MB at genus 30.
+#   verify theorem-b took 0.36-0.58 s at genus 30, with a 356 MB peak from
+#   the one-bit masks of the L_3 basis in sp_mod2, whose bytes grow with the
+#   square of rank L_3; verify lcst --md and R of a commutator of two twists
+#   stayed under 0.6 s / 20 MB at genus 30.
 # - verify lower-bounds lists the L_3 words of one genus at a time: 0.4 s /
 #   26 MB at --max-genus 30.
 _MAX_GENUS = 30
@@ -317,19 +320,20 @@ def cmd_verify_lower_bounds(args):
 
 
 def make_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--genus", type=int, default=3)
-    common.add_argument("--degree", type=int, default=None,
-                        help="nilpotency class for the expansion (2..4)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-
     def command(subparsers, name, func, cap, degrees=None, capped="genus",
                 **kwargs):
         """A subcommand whose `capped` option may not exceed `cap` (None: no
         cap) and whose expansion runs at `degrees` when --degree is absent.
-        The defaults go to dests of their own: the parents share their
-        actions, so set_defaults(degree=...) would change every command."""
-        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        It takes --genus only when `capped` is the genus and --degree only
+        when it declares `degrees`, so argparse refuses an option the
+        command would ignore (exit 2)."""
+        p = subparsers.add_parser(name, **kwargs)
+        if capped == "genus":
+            p.add_argument("--genus", type=int, default=3)
+        if degrees is not None:
+            p.add_argument("--degree", type=int, default=None,
+                           help="nilpotency class for the expansion (2..4)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func, genus_cap=(capped, cap),
                        default_degrees=degrees)
         return p
@@ -364,13 +368,14 @@ def make_parser():
 def _refuse_genus(args):
     """Every command refuses a genus below 1, and a capped command refuses
     its capped option above the cap, before any work."""
-    if args.genus < 1:
-        raise DegreeCapError(f"genus out of range: {args.genus} < 1")
     capped, cap = args.genus_cap
     genus = getattr(args, capped)
+    option = f"--{capped.replace('_', '-')} {genus}"
+    if genus < 1:
+        raise DegreeCapError(f"genus out of range: {option} < 1")
     if cap is not None and genus > cap:
         raise DegreeCapError(f"this command runs up to genus {cap}, got "
-                             f"--{capped.replace('_', '-')} {genus}")
+                             f"{option}")
 
 
 def main(argv=None):

@@ -3,18 +3,22 @@ at a nilpotency class N <= 5, in the Lyndon basis.
 
 Letters are 1..2g with a_i = i and b_i = g + i, so the generator order is
 a_1 < ... < a_g < b_1 < ... < b_g.  A Lie element is a sparse map from Lyndon
-words (tuples of letters) to Fraction.  Products that need the associative
-structure (the truncated BCH product, rewriting brackets into the basis) go
-through the truncated tensor algebra: a Lyndon monomial expands to the tensor
-polynomial of its standard bracketing, and a tensor polynomial that happens to
-be a Lie element is decomposed back by triangularity (the smallest word of a
-homogeneous Lie polynomial is Lyndon, with the coefficient of its bracketing).
+words (tuples of letters) to exact rationals, an `int` where integral, else a
+`Fraction`.  Products that need the associative structure (the truncated BCH
+product, rewriting brackets into the basis) go through the truncated tensor
+algebra on integer numerators over one denominator: a Lyndon monomial expands
+to the tensor polynomial of its standard bracketing, and a tensor polynomial
+that happens to be a Lie element is decomposed back by triangularity (the
+smallest word of a homogeneous Lie polynomial is Lyndon and carries the
+coefficient of its bracketing, whose expansion has coefficient 1 on that word,
+so decomposing never divides).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, gcd, lcm
 
 from .exact_linalg import rational_rank
 
@@ -106,7 +110,7 @@ def tree_size(tree):
     return 1 if isinstance(tree, int) else tree_size(tree[0]) + tree_size(tree[1])
 
 
-# --- truncated tensor algebra (dict word-tuple -> Fraction) ----------------
+# --- truncated tensor algebra (dict word-tuple -> coefficient) --------------
 
 def t_add_into(acc, poly, scale=1):
     for w, c in poly.items():
@@ -140,35 +144,38 @@ def t_mul(p, q, cap):
     return out
 
 
-def t_exp(p, cap):
-    """exp of a tensor polynomial with zero constant term, truncated."""
+def _series(p, den, cap, weight):
+    """sum_k weight(k) (p / den)^k over the nonzero truncated powers of p, with
+    weight(k) = (numerator, denominator), as (integer numerators, denominator)
+    in lowest terms: one gcd pass over one common denominator."""
+    powers = [{(): 1}]
+    while len(powers) <= cap and (power := t_mul(powers[-1], p, cap)):
+        powers.append(power)
+    weights = [weight(k) for k in range(len(powers))]
+    total = den ** (len(powers) - 1) * lcm(*(b for _a, b in weights))
+    out = {}
+    for k, (power, (a, b)) in enumerate(zip(powers, weights)):
+        t_add_into(out, power, a * (total // (den ** k * b)))
+    g = gcd(total, *out.values())
+    return {w: c // g for w, c in out.items()}, total // g
+
+
+def t_exp(p, den, cap):
+    """exp(p / den) for an integer tensor p with zero constant term, truncated,
+    as (integer numerators, denominator) in lowest terms."""
     if () in p:
         raise ValueError("exp needs a zero constant term")
-    out = {(): Fraction(1)}
-    power = {(): Fraction(1)}
-    fact = 1
-    for k in range(1, cap + 1):
-        power = t_mul(power, p, cap)
-        if not power:
-            break
-        fact *= k
-        t_add_into(out, power, Fraction(1, fact))
-    return out
+    return _series(p, den, cap, lambda k: (1, factorial(k)))
 
 
-def t_log(p, cap):
-    """log of a tensor polynomial with constant term 1, truncated."""
+def t_log(p, den, cap):
+    """log(p / den) for an integer tensor p with constant term den, truncated,
+    as (integer numerators, denominator) in lowest terms."""
     u = dict(p)
-    if u.pop((), None) != 1:
+    if u.pop((), None) != den:
         raise ValueError("log needs constant term 1")
-    out = {}
-    power = {(): Fraction(1)}
-    for k in range(1, cap + 1):
-        power = t_mul(power, u, cap)
-        if not power:
-            break
-        t_add_into(out, power, Fraction((-1) ** (k + 1), k))
-    return out
+    return _series(u, den, cap,
+                   lambda k: ((-1) ** (k + 1), k) if k else (0, 1))
 
 
 # --- structure constants of the free Lie ring --------------------------------
@@ -214,6 +221,13 @@ def decompose(poly):
             terms[w] = c
             t_add_into(comp, _expansion(w), -c)
     return terms
+
+
+def lie_terms(tensor):
+    """The Lyndon-basis terms of a Lie element given as (integer numerators,
+    denominator): decomposed over Z, then one Fraction per term."""
+    num, den = tensor
+    return {w: Fraction(c, den) for w, c in decompose(num).items()}
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +293,7 @@ class LieContext:
             raise ValueError(f"not a Lyndon word: {word}")
         if len(word) > self.max_degree:
             return self.zero()
-        c = Fraction(coeff)
+        c = _coefficient(coeff)
         return LieElement(self, {word: c} if c else {})
 
     def gen_a(self, i):
@@ -301,7 +315,7 @@ class LieContext:
         """Dual of the intersection pairing: sum_i [a_i, b_i] in degree 2."""
         if self.max_degree < 2:
             raise DegreeCapError("omega needs class >= 2")
-        terms = {(i, self.genus + i): Fraction(1) for i in range(1, self.genus + 1)}
+        terms = {(i, self.genus + i): 1 for i in range(1, self.genus + 1)}
         return LieElement(self, terms)
 
     def from_tree(self, tree):
@@ -329,6 +343,12 @@ class LieContext:
 @lru_cache(maxsize=None)
 def get_context(genus, max_degree):
     return LieContext(genus, max_degree)
+
+
+def _coefficient(scalar):
+    """An exact coefficient: an int stays an int, anything else is read as a
+    Fraction."""
+    return scalar if isinstance(scalar, int) else Fraction(scalar)
 
 
 class SparseCombination:
@@ -365,14 +385,15 @@ class SparseCombination:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
-        c = Fraction(scalar)
+        c = _coefficient(scalar)
         return self._like({k: c * v for k, v in self.terms.items()} if c else {})
 
     __rmul__ = __mul__
 
 
 class LieElement(SparseCombination):
-    """Sparse exact-rational combination of Lyndon basis monomials."""
+    """Sparse exact-rational combination of Lyndon basis monomials; each
+    coefficient is an `int` where integral, else a `Fraction`."""
 
     __slots__ = ("ctx", "terms")
 
@@ -414,10 +435,13 @@ class LieElement(SparseCombination):
         return LieElement(ctx, out)
 
     def to_tensor(self):
+        """The tensor expansion as (integer numerators, denominator), the
+        denominator being the lcm of the coefficients' denominators."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
         out = {}
         for w, c in self.terms.items():
-            t_add_into(out, _expansion(w), c)
-        return out
+            t_add_into(out, _expansion(w), c.numerator * (den // c.denominator))
+        return out, den
 
     def bch(self, other):
         """Baker-Campbell-Hausdorff product log(exp(self) exp(other)).
@@ -427,8 +451,8 @@ class LieElement(SparseCombination):
         """
         self._check(other)
         cap = self.ctx.max_degree
-        prod = t_mul(t_exp(self.to_tensor(), cap), t_exp(other.to_tensor(), cap), cap)
-        return self._like(decompose(t_log(prod, cap)))
+        (p, dp), (q, dq) = (t_exp(*x.to_tensor(), cap) for x in (self, other))
+        return self._like(lie_terms(t_log(t_mul(p, q, cap), dp * dq, cap)))
 
     def rooted_terms(self):
         """The element as a list of (coefficient, bracketing tree) pairs.
@@ -504,7 +528,7 @@ def lbar_rank(ctx, d):
     index = {w: i for i, w in enumerate(basis)}
     rows = []
     for x in ideal_omega_component(ctx, d):
-        row = [Fraction(0)] * len(basis)
+        row = [0] * len(basis)
         for w, c in x.terms.items():
             row[index[w]] = c
         rows.append(row)

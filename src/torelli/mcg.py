@@ -95,9 +95,9 @@ class GradedValue:
         return self * -1
 
     def __mul__(self, scalar):
-        c = Fraction(scalar)
+        # each part keeps an int scalar an int, see SparseCombination
         return GradedValue(self.genus,
-                           {d: p * c for d, p in self.parts.items()},
+                           {d: p * scalar for d, p in self.parts.items()},
                            self.depth, self.known)
 
     __rmul__ = __mul__

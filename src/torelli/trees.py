@@ -15,7 +15,6 @@ Degree of a diagram = number of trivalent vertices = total leaves - 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
@@ -97,7 +96,8 @@ def join_leaf_decompositions(u, v):
 
 
 class TreeSum(SparseCombination):
-    """Formal rational combination of joined trees at a fixed genus.
+    """Formal rational combination of joined trees at a fixed genus, with
+    `int` coefficients where integral and `Fraction` ones otherwise.
 
     Every key is a canonical join (u, v) as made by add_join: both trees in
     sorted-children form and u <= v, so equal joins always share one key and
@@ -116,7 +116,7 @@ class TreeSum(SparseCombination):
     @staticmethod
     def single(genus, u, v):
         ts = TreeSum(genus)
-        ts.add_join(u, v, Fraction(1))
+        ts.add_join(u, v, 1)
         return ts
 
     def add_join(self, u, v, coeff):
@@ -241,7 +241,8 @@ def join(x, y, allow_degree0=False):
 
 
 class DerivationElement(SparseCombination):
-    """Element of H tensor L_{degree+1}: sparse map (letter, word) -> Fraction.
+    """Element of H tensor L_{degree+1}: sparse map (letter, word) -> exact
+    rational coefficient, an `int` where integral, else a `Fraction`.
 
     Under h |-> omega(h, -) this is the derivation z |-> sum omega(h, z) * w.
     """
@@ -337,7 +338,7 @@ class DerivationElement(SparseCombination):
     def component_vector(self, md):
         basis = component_basis(self.genus, self.degree, md)
         index = {k: i for i, k in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
+        vec = [0] * len(basis)
         for k, c in self.terms.items():
             if _term_multidegree(self.genus, k) == md:
                 vec[index[k]] = c

@@ -15,8 +15,8 @@ import re
 from fractions import Fraction as Fr
 from functools import lru_cache
 
-from .lie import (DegreeCapError, LieContext, LieElement, decompose,
-                  get_context, t_exp, t_log, t_mul)
+from .lie import (DegreeCapError, LieContext, LieElement, get_context,
+                  lie_terms, t_exp, t_log, t_mul)
 
 # A letter is (kind, index, sign) with kind "a"/"b", index 1..g, sign +-1.
 _TOKEN = re.compile(r"([ab])([1-9][0-9]*)([+-])")
@@ -162,11 +162,13 @@ class ExpansionTable:
         return value if sign > 0 else -value
 
     def letter_exp(self, kind, index, sign):
-        """exp of the signed letter value in the truncated tensor algebra."""
+        """exp of the signed letter value in the truncated tensor algebra, as
+        (integer numerators, denominator)."""
         value = self._exp.get((kind, index, sign))
         if value is None:
             value = self._exp[kind, index, sign] = t_exp(
-                self.letter_value(kind, index, sign).to_tensor(), self.ctx.max_degree)
+                *self.letter_value(kind, index, sign).to_tensor(),
+                self.ctx.max_degree)
         return value
 
 
@@ -182,11 +184,13 @@ def theta(word, table):
     value = table._theta.get(key)
     if value is None:
         cap = table.ctx.max_degree
-        prod = {(): Fr(1)}
+        prod, den = {(): 1}, 1
         for letter in key:
-            prod = t_mul(prod, table.letter_exp(*letter), cap)
-        value = table._theta[key] = LieElement(table.ctx,
-                                               decompose(t_log(prod, cap)))
+            factor, factor_den = table.letter_exp(*letter)
+            prod = t_mul(prod, factor, cap)
+            den *= factor_den
+        value = table._theta[key] = LieElement(
+            table.ctx, lie_terms(t_log(prod, den, cap)))
     return value
 
 

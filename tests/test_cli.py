@@ -290,6 +290,20 @@ def test_theta_and_symplectic_json_bytes_are_pinned(argv, digest):
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["theta", "a1+b2-a1-b1+a2+", "--genus", "3", "--degree", "4"],
+     "68871216a73ff364112d710ef9bf7a70c473abb9c188c70ed813718c5f3389fb"),
+    (["verify", "theorem-b", "--genus", "3"],
+     "819c0692aba2065ebe14954eee6202cfc2b98e4babfe25468047d047cfc13a87"),
+], ids=["theta-word-genus3", "theorem-b-genus3"])
+def test_text_bytes_are_pinned(argv, digest):
+    # the text renderer prints every coefficient, so an int and a Fraction
+    # coefficient must print alike: these bytes predate int coefficients
+    run = run_python("-m", "torelli.cli", *argv)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
+
+
 _R_SPEC = ('[{"commutator": [{"twist": {"lift": "a1+b1+a1-b1-"}}, '
            '{"twist": {"lift": "a1+a2+b1+a2-a1-b1-"}}]}]')
 
@@ -305,6 +319,11 @@ def test_r_json_bytes_are_pinned(genus, digest):
                      "--degree", "4", "--format", "json")
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
+
+
+_TWIST_SPEC = ('[{"twist":{"lift":"a1+a2+b1+a2-a1-b1-","power":2}},'
+               '{"conjugate":{"by":{"twist":{"lift":"a1+b1+a1-b1-"}},'
+               '"arg":{"twist":{"lift":"a2+b2+a2-b2-"}}}}]')
 
 
 def _cli_subprocess(*argv, optimize=False):
@@ -409,7 +428,9 @@ def test_out_of_range_genus_exit3(argv):
     ["theta", "a1+b1+", "--degree", "3"],
     ["verify", "symplectic", "--genus", "2"],
     ["verify", "theorem-b", "--genus", "3"],
-], ids=["theta", "symplectic", "theorem-b"])
+    ["compose", _TWIST_SPEC, "--genus", "3", "--degree", "4"],
+    ["R", _R_SPEC, "--genus", "3", "--degree", "4"],
+], ids=["theta", "symplectic", "theorem-b", "compose", "R"])
 def test_bch_under_optimize(argv):
     # the constant-term checks of t_exp/t_log are explicit, so python -O
     # computes the same BCH products
@@ -597,3 +618,25 @@ _specs = st.recursive(_mostly(_good_leaves, _bad_leaves),
 def test_fuzz_compose_specs(spec):
     assert _main_code(["compose", "--genus", "2", "--degree", "2",
                        json.dumps(spec)]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ranks", "--degree", "9"],
+    ["verify", "sp-kernel", "--degree", "7"],
+    ["verify", "lcst", "--degree", "9"],
+    ["verify", "lcst", "--genus", "1", "--degree", "9"],
+    ["verify", "lower-bounds", "--genus", "31"],
+    ["verify", "lower-bounds", "--max-genus", "3", "--degree", "3"],
+])
+def test_ignored_option_exit2_before_work(capsys, monkeypatch, argv):
+    # a command takes only the options it uses, so argparse refuses the rest
+    def work(*args):
+        raise AssertionError("a command started work on an ignored option")
+    for name in ("witt_rank", "verify_kernel_lemma", "verify_ses",
+                 "lcst_full_diagonals", "lower_bound_exponents"):
+        monkeypatch.setattr(cli, name, work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
 from conftest import SEED, rand_lie, run_python
 from torelli.lie import (ContextMismatch, DegreeCapError, LieContext,
-                         get_context, ideal_omega_component, is_lyndon,
-                         lbar_rank, standard_bracketing,
-                         t_add_into, t_mul, witt_rank)
+                         LieElement, decompose, get_context,
+                         ideal_omega_component, is_lyndon, lbar_rank,
+                         lie_terms, standard_bracketing, t_add_into, t_exp,
+                         t_log, t_mul, witt_rank)
+from torelli.trees import DerivationElement, TreeSum
+from torelli.words import get_table
 
 
 def test_lyndon_words_examples():
@@ -85,7 +89,7 @@ def test_bracket_jacobi_rewrite_against_tensor_oracle():
 
     t1, t2, t3 = {(1,): Fraction(1)}, {(2,): Fraction(1)}, {(3,): Fraction(1)}
     oracle = tensor_comm(tensor_comm(t1, t2), t3)
-    assert lhs.to_tensor() == oracle
+    assert lhs.to_tensor() == (oracle, 1)
 
 
 def test_t_mul_against_pairwise_product():
@@ -227,3 +231,146 @@ def test_json_shape():
     ctx = get_context(2, 3)
     j = (ctx.gen_a(1) * Fraction(3, 2)).to_json()
     assert j == {"degree": 1, "terms": [{"word": [1], "num": 3, "den": 2}]}
+
+
+# --- the integer tensor layer against the Fraction series --------------------
+
+def _oracle_exp(p, cap):
+    out, power = {(): Fraction(1)}, {(): Fraction(1)}
+    for k in range(1, cap + 1):
+        power = t_mul(power, p, cap)
+        t_add_into(out, power, Fraction(1, factorial(k)))
+    return out
+
+
+def _oracle_log(p, cap):
+    u = {w: c for w, c in p.items() if w}
+    out, power = {}, {(): Fraction(1)}
+    for k in range(1, cap + 1):
+        power = t_mul(power, u, cap)
+        t_add_into(out, power, Fraction((-1) ** (k + 1), k))
+    return out
+
+
+def _rational(pair):
+    num, den = pair
+    assert den > 0 and all(type(c) is int for c in num.values())
+    return {w: Fraction(c, den) for w, c in num.items()}
+
+
+def _lowest(pair):
+    """The rational tensor of a pair that t_exp or t_log returned, which must
+    be in lowest terms."""
+    num, den = pair
+    assert gcd(den, *num.values()) == 1, "not in lowest terms"
+    return _rational(pair)
+
+
+def _oracle_inputs(rng, genus, cap):
+    """Random Lie elements, and at class <= 4 the expansion-table letter
+    values (denominators 2, 4, 12, 24) alone and plus a random element."""
+    ctx = get_context(genus, cap)
+    out = [rand_lie(ctx, rng, terms=rng.randint(1, 4)) for _ in range(4)]
+    if cap <= 4:
+        table = get_table(genus, cap)
+        for kind in "ab":
+            value = table.letter_value(kind, rng.randint(1, genus),
+                                       rng.choice((1, -1)))
+            out += [value, value + rand_lie(ctx, rng, terms=2)]
+    return out
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_integer_tensor_layer_against_fraction_series(genus, cap):
+    rng = random.Random(SEED + 10 * genus + cap)
+    xs = _oracle_inputs(rng, genus, cap)
+    for x in xs:
+        tensor = _rational(x.to_tensor())
+        exp_x = t_exp(*x.to_tensor(), cap)
+        assert _lowest(exp_x) == _oracle_exp(tensor, cap)
+        log_exp_x = t_log(*exp_x, cap)
+        assert _lowest(log_exp_x) == _oracle_log(_oracle_exp(tensor, cap), cap)
+        # log(exp x) = x, both in the tensor algebra and in the Lyndon basis
+        assert _lowest(log_exp_x) == tensor
+        assert lie_terms(log_exp_x) == x.terms
+    for x, y in zip(xs, reversed(xs)):
+        (p, dp), (q, dq) = (t_exp(*z.to_tensor(), cap) for z in (x, y))
+        log_prod = t_log(t_mul(p, q, cap), dp * dq, cap)
+        prod = t_mul(_oracle_exp(_rational(x.to_tensor()), cap),
+                     _oracle_exp(_rational(y.to_tensor()), cap), cap)
+        assert _lowest(log_prod) == _oracle_log(prod, cap)
+        assert x.bch(y) == LieElement(x.ctx, decompose(_oracle_log(prod, cap)))
+
+
+def test_tensor_exp_and_log_refuse_a_wrong_constant_term():
+    with pytest.raises(ValueError, match="zero constant term"):
+        t_exp({(): 1, (1,): 1}, 1, 3)
+    with pytest.raises(ValueError, match="constant term 1"):
+        t_log({(): 1, (1,): 1}, 2, 3)
+    assert t_exp({}, 7, 3) == ({(): 1}, 1)
+    assert t_log({(): 5}, 5, 3) == ({}, 1)
+
+
+# --- coefficient types: an int and the equal Fraction are interchangeable ---
+
+def _with_two(ctx, two):
+    return [LieElement(ctx, {(1, 4): two}),
+            TreeSum(3, {((1, 2), (3, 4)): two}),
+            DerivationElement(3, 1, {(1, (1, 4)): two})]
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    ctx = get_context(3, 3)
+    for x, y in zip(_with_two(ctx, 2), _with_two(ctx, Fraction(2))):
+        assert x.terms == y.terms
+        assert x.to_json() == y.to_json()
+        if isinstance(x, LieElement):
+            assert x.render() == y.render() == "0+(2)*[a1,b1]"
+        if not isinstance(x, TreeSum):  # tree sums compare with equals()
+            assert x == y and hash(x) == hash(y)
+        else:
+            assert x.equals(y)
+
+
+def test_int_scalars_keep_int_coefficients():
+    from torelli.mcg import GradedValue
+    ctx = get_context(3, 3)
+    for x in _with_two(ctx, 2):
+        assert (x * -3).terms == (-3 * x).terms == {k: -6 for k in x.terms}
+        for scaled in (x * -3, -3 * x, -x):
+            assert all(type(c) is int for c in scaled.terms.values())
+        assert all(type(c) is Fraction
+                   for c in (x * Fraction(1, 2)).terms.values())
+    assert all(type(c) is int for c in ctx.omega().terms.values())
+    assert all(type(c) is int for c in ctx.monomial((1, 4), 5).terms.values())
+    ts = TreeSum.single(3, (1, 2), (3, 4))
+    assert list(ts.terms.values()) == [1] and type(ts.terms[(1, 2), (3, 4)]) is int
+    value = GradedValue(3, {2: ts}, 2, 3)
+    for scaled in (value * 2, 2 * value, -value):
+        assert all(type(c) is int for c in scaled.part(2).terms.values())
+
+
+def _coefficients(obj):
+    """Every coefficient of the sparse combinations inside obj."""
+    if hasattr(obj, "terms") and isinstance(obj.terms, dict):
+        yield from obj.terms.values()
+    elif hasattr(obj, "parts"):
+        for part in obj.parts.values():
+            yield from _coefficients(part)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _coefficients(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _coefficients(v)
+    elif hasattr(obj, "derivation"):
+        yield from _coefficients(obj.r4_tree)
+        yield from _coefficients(obj.derivation)
+
+
+def test_build_phi_has_no_float_coefficient():
+    from torelli.mcg import build_phi
+    coefficients = list(_coefficients(build_phi(get_table(3, 4))))
+    assert len(coefficients) > 100
+    assert all(type(c) in (int, Fraction) for c in coefficients)
