@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .lie import DegreeCapError, LieContext, get_context, lbar_rank, witt_rank
+from .lie import DegreeCapError, get_context, lbar_rank, witt_rank
 from .mcg import (BoundingPairMap, Commutator, Conjugate, Inverse, Product,
                   SeparatingTwist, WindowUnderflow, factor_value, r_mod1,
                   theorem_b_report)
@@ -49,11 +49,9 @@ _SP_KERNEL_MAX_GENUS = 16
 #   only the letter values a word uses, so theta a1+ at degree 4 took
 #   0.06-0.13 s / 15 MB at 30.
 # - the degree-4 lattices list Lyndon words on the support of one
-#   multidegree only, so the L_3 word lists on 2g letters grow fastest:
-#   verify theorem-b took 0.36-0.58 s at genus 30, with a 356 MB peak from
-#   the one-bit masks of the L_3 basis in sp_mod2, whose bytes grow with the
-#   square of rank L_3; verify lcst --md and R of a commutator of two twists
-#   stayed under 0.6 s / 20 MB at genus 30.
+#   multidegree only, and L_3 mod 2 is read by a closed-form index: verify
+#   theorem-b took 0.17-0.23 s / 17 MB at genus 30; verify lcst --md and R of
+#   a commutator of two twists stayed under 0.6 s / 20 MB at genus 30.
 # - verify lower-bounds lists the L_3 words of one genus at a time: 0.4 s /
 #   26 MB at --max-genus 30.
 _MAX_GENUS = 30
@@ -307,8 +305,7 @@ def cmd_verify_lower_bounds(args):
     # a --max-genus below 2 is itself checked, so the library refuses it
     for g in range(min(2, args.max_genus), args.max_genus + 1):
         bordered, closed = lower_bound_exponents(g)
-        # a fresh context, so no word list outlives its genus
-        words = LieContext(g, 3).lyndon_basis(3)
+        words = get_context(g, 3).lyndon_basis(3)
         a_words = sum(1 for w in words if max(w) <= g)
         ok = (3 * bordered == 8 * (g ** 3 - g)
               and 3 * closed == g ** 3 - 4 * g

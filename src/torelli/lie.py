@@ -242,10 +242,10 @@ def _bracket_words(w1, w2):
 
 class LieContext:
     """What depends on the genus and the nilpotency class: the Lyndon basis
-    per degree and the memo of `from_tree`.
+    per degree, listed anew on each call, and the memo of `from_tree`.
 
-    Immutable after construction apart from these memo tables, which are
-    write-once per key; concurrent readers always see consistent values.
+    Immutable after construction apart from that memo, which is write-once
+    per key; concurrent readers always see consistent values.
     """
 
     def __init__(self, genus, max_degree):
@@ -257,7 +257,6 @@ class LieContext:
         self.genus = genus
         self.max_degree = max_degree
         self.letters = 2 * genus
-        self._lyndon = {}       # degree -> tuple of words
         self._tree_memo = {}    # tree -> LieElement, shared by every caller
 
     def __repr__(self):
@@ -276,11 +275,8 @@ class LieContext:
     def lyndon_basis(self, degree):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        if degree not in self._lyndon:
-            words = tuple(w for w in lyndon_words(self.letters, degree)
-                          if len(w) == degree)
-            self._lyndon[degree] = words
-        return self._lyndon[degree]
+        return tuple(w for w in lyndon_words(self.letters, degree)
+                     if len(w) == degree)
 
     # -- element constructors --
 

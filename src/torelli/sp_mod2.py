@@ -2,9 +2,18 @@
 L_3 tensor GF(2), the contraction to H tensor GF(2), the orbit-span
 computation identifying its kernel, and the projection killing the b letters.
 
-Vectors over GF(2) are bit-packed ints.  An element of L_3 mod 2 is a bitmask
-over the degree-3 Lyndon basis; an element of H mod 2 is a bitmask over the
-2g generator letters.  Signs are dropped throughout: everything is mod 2.
+Vectors over GF(2) are bit-packed ints, over the 2g letters for H mod 2 and
+over the Lyndon basis for L_3 mod 2, each word at a closed-form index.
+Signs are dropped throughout: everything is mod 2.
+
+Kernel lemma: at every g >= 3 the Sp(2g, Z/2)-orbit span of [[a_1,a_2],a_3]
+is the contraction kernel, by two finite checks, the genus-3 orbit span and
+the genus-4 kernel as the sum of its pieces K_S on each handle triple S.
+Sp(6, Z/2) on three handles and the handle permutations lie in Sp(2g, Z/2),
+so the span holds each K_S.  r_x^j = [[x,a_j],b_j] contracts to x off x's
+handle, so a kernel vector v is the sum over its words w of w + the r_x^j,
+x in sigma(w) and j a handle w misses, plus pairs r_x^j + r_x^k that
+sigma(v) = 0 leaves: each on at most 4 handles, so in the sum of the K_S.
 """
 
 from __future__ import annotations
@@ -12,8 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exact_linalg import gf2_apply, gf2_kernel, gf2_span_closure
-from .lie import (DegreeCapError, get_context, standard_bracketing,
-                  witt_rank)
+from .lie import DegreeCapError, get_context, witt_rank
 
 
 def _pair(genus, x, y):
@@ -60,17 +68,6 @@ class SpTransformation:
         return f"SpTransformation({self.genus}, {list(self.images)})"
 
 
-def _bits(mask):
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _mask(letters):
     m = 0
     for letter in letters:
@@ -88,40 +85,49 @@ def transvection(genus, letters):
 
 # --- the action on L_3 mod 2 -------------------------------------------------
 
-def _l3_words(genus):
-    return get_context(genus, 3).lyndon_basis(3)
+def _l3_basis(n):
+    """The Lyndon words of length 3 on n letters in lex order: the pyz with
+    y >= p < z, so (n-q+1)(n-q) of them start with each letter q."""
+    return ((p, y, z) for p in range(1, n + 1) for y in range(p, n + 1)
+            for z in range(p + 1, n + 1))
 
 
-@lru_cache(maxsize=None)
-def _l3_bit(genus):
-    return {w: 1 << i for i, w in enumerate(_l3_words(genus))}
+def _l3_index(n, w):
+    """Position of w = pyz in _l3_basis(n): sum_{k=m+1}^{n-1} k(k+1) words,
+    m = n - p, start below p, and m start with each py', y' < y."""
+    p, y, z = w
+    m = n - p
+    return (((n - 1) * n * (n + 1) - m * (m + 1) * (m + 2)) // 3
+            + (y - p) * m + z - p - 1)
 
 
 def l3_mod2_bits(x):
     """An integral degree-3 Lie element as a bitmask over the Lyndon basis of
     L_3, mod 2."""
-    bit = _l3_bit(x.ctx.genus)
+    n = x.ctx.letters
     bits = 0
     for w, c in x.terms.items():
+        if not (len(w) == 3 and 0 < w[0] <= w[1] <= n and w[0] < w[2] <= n):
+            raise ValueError(f"{w} is not a degree-3 basis word")
         if c.denominator != 1:
             raise ValueError(f"coefficient {c} of {w} is not an integer")
         if c.numerator % 2:
-            bits ^= bit[w]
+            bits ^= 1 << _l3_index(n, w)
     return bits
 
 
-def _bracket3(bit, x, y, z):
-    """[[x,y],z] mod 2 for letters x, y, z, with bit = _l3_bit(genus).  With
-    p < q the letters of x != y it is the word ppq (z = p), pqq (z = q), pqz
-    (p < z < q), zpq (z < p), or pqz + pzq (z > q), by Jacobi."""
+def _bracket3(n, x, y, z):
+    """[[x,y],z] mod 2 for letters x, y, z of n.  With p < q the letters of
+    x != y it is the word ppq (z = p), pqq (z = q), pqz (p < z < q), zpq
+    (z < p), or pqz + pzq (z > q), by Jacobi."""
     if x == y:
         return 0
     p, q = (x, y) if x < y else (y, x)
     if z > q:
-        return bit[p, q, z] | bit[p, z, q]
+        return 1 << _l3_index(n, (p, q, z)) | 1 << _l3_index(n, (p, z, q))
     if z in (p, q):
-        return bit[p, z, q]
-    return bit[(p, q, z) if z > p else (z, p, q)]
+        return 1 << _l3_index(n, (p, z, q))
+    return 1 << _l3_index(n, (p, q, z) if z > p else (z, p, q))
 
 
 def tree_mod2_bits(genus, tree):
@@ -131,29 +137,31 @@ def tree_mod2_bits(genus, tree):
     (x, y), z = tree
     if not all(type(c) is int and 1 <= c <= 2 * genus for c in (x, y, z)):
         raise ValueError(f"{tree} is not a tree on the {2 * genus} letters")
-    return _bracket3(_l3_bit(genus), x, y, z)
+    return _bracket3(2 * genus, x, y, z)
 
 
 @lru_cache(maxsize=None)
 def _l3_triples(genus):
-    """Each basis word of L_3 as a left-normed triple (a, b, c) = [[a,b],c]
-    mod 2: a bracketing [x,[y,z]] is read as [[y,z],x], its negative."""
-    out = []
-    for w in _l3_words(genus):
-        left, right = standard_bracketing(w)
-        out.append(left + (right,) if isinstance(left, tuple)
-                   else right + (left,))
-    return tuple(out)
+    """Each basis word pyz of L_3 as a left-normed triple (a, b, c) mod 2: its
+    standard bracketing [[p,y],z] when y >= z, else [p,[y,z]] = -[[y,z],p]."""
+    return tuple((p, y, z) if y >= z else (y, z, p)
+                 for p, y, z in _l3_basis(2 * genus))
+
+
+@lru_cache(maxsize=None)
+def _l3_units(genus):  # shared by every action matrix
+    return tuple(1 << i for i in range(witt_rank(2 * genus, 3)))
 
 
 @lru_cache(maxsize=None)
 def action_matrix(transformation):
     """Basis-image list of the transformation acting on L_3 mod 2."""
     g = transformation.genus
-    bit = _l3_bit(g)
-    letters = [_bits(mask) for mask in transformation.images]
+    n = 2 * g
+    letters = [[i + 1 for i in range(n) if mask >> i & 1]
+               for mask in transformation.images]
     fixed = [m == 1 << i for i, m in enumerate(transformation.images)]
-    out = list(bit.values())  # a word on fixed letters keeps its unit row
+    out = list(_l3_units(g))  # a word on fixed letters keeps its unit row
     for i, (a, b, c) in enumerate(_l3_triples(g)):
         if fixed[a - 1] and fixed[b - 1] and fixed[c - 1]:
             continue
@@ -161,7 +169,7 @@ def action_matrix(transformation):
         for x in letters[a - 1]:
             for y in letters[b - 1]:
                 for z in letters[c - 1]:
-                    acc ^= _bracket3(bit, x, y, z)
+                    acc ^= _bracket3(n, x, y, z)
         out[i] = acc
     return tuple(out)
 
@@ -194,7 +202,8 @@ def omega_bracket_bits(genus, h):
 def stigma_kernel(genus):
     """The kernel of the contraction, built once per genus.  The subspace is
     shared: callers must not add to it."""
-    return gf2_kernel(_stigma_matrix(genus), len(_l3_words(genus)), 2 * genus)
+    return gf2_kernel(_stigma_matrix(genus), witt_rank(2 * genus, 3),
+                      2 * genus)
 
 
 def verify_ses(genus):
@@ -232,7 +241,7 @@ def orbit_span(genus, seed_bits):
     standard generators.  The span is checked to lie inside the kernel of the
     contraction (it must, by equivariance, when the seed does)."""
     actions = [action_matrix(t) for t in standard_generators(genus)]
-    span = gf2_span_closure([seed_bits], actions, len(_l3_words(genus)))
+    span = gf2_span_closure([seed_bits], actions, witt_rank(2 * genus, 3))
     if any(stigma(genus, row) for row in span.rows):
         raise AssertionError("orbit left the contraction kernel")
     return span
@@ -270,9 +279,10 @@ def project_l3_to_a(genus, bits):
     Words using a b letter die.  The pure a-words survive in basis order, and
     in that order they are the Lyndon basis of L_3 on the a generators.
     """
-    out, k = 0, 0
-    for i, w in enumerate(_l3_words(genus)):
-        if max(w) <= genus:
-            out |= (bits >> i & 1) << k
-            k += 1
+    n = 2 * genus
+    if bits < 0 or bits >> witt_rank(n, 3):
+        raise ValueError(f"{bits:#x} is not in L_3 mod 2 at genus {genus}")
+    out = 0
+    for k, w in enumerate(_l3_basis(genus)):
+        out |= (bits >> _l3_index(n, w) & 1) << k
     return out

@@ -471,7 +471,7 @@ def test_lower_bounds_limit_refused_before_work(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("lower-bounds started work above its genus limit")
     monkeypatch.setattr(cli, "lower_bound_exponents", work)
-    monkeypatch.setattr(cli, "LieContext", work)
+    monkeypatch.setattr(cli, "get_context", work)
     code, out, err = run(capsys, "verify", "lower-bounds", "--max-genus",
                          str(cli._MAX_GENUS + 1))
     assert code == 3 and out == ""

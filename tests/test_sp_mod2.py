@@ -1,16 +1,55 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import SEED, run_python
-from torelli.exact_linalg import gf2_apply
-from torelli.lie import (DegreeCapError, get_context, standard_bracketing,
-                         witt_rank)
-from torelli.sp_mod2 import (SpTransformation, action_matrix, l3_mod2_bits,
+from torelli.exact_linalg import Mod2Subspace, gf2_apply, gf2_kernel
+from torelli.lie import (DegreeCapError, get_context, lyndon_words,
+                         standard_bracketing, witt_rank)
+from torelli.sp_mod2 import (SpTransformation, _l3_basis, _l3_index,
+                             _l3_triples, action_matrix, l3_mod2_bits,
                              lower_bound_exponents, omega_bracket_bits,
                              orbit_span, project_l3_to_a, standard_generators,
                              stigma, stigma_kernel, transvection,
                              tree_mod2_bits, verify_kernel_lemma, verify_ses)
+
+
+# --- the closed form of the L_3 basis ----------------------------------------
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_l3_basis_and_index_against_duval(g):
+    # the closed-form enumeration and position of each word, against the
+    # Duval enumeration of lie.lyndon_words
+    n = 2 * g
+    words = tuple(w for w in lyndon_words(n, 3) if len(w) == 3)
+    assert tuple(_l3_basis(n)) == words == get_context(g, 3).lyndon_basis(3)
+    assert [_l3_index(n, w) for w in words] == list(range(len(words)))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_l3_triples_against_standard_bracketing(g):
+    expected = []
+    for w in get_context(g, 3).lyndon_basis(3):
+        left, right = standard_bracketing(w)
+        expected.append(left + (right,) if isinstance(left, tuple)
+                        else right + (left,))
+    assert _l3_triples(g) == tuple(expected)
+
+
+def test_genus30_class_lists_no_basis():
+    # varpi's bits and the closed class at genus 30 read a few bits of
+    # L_3 mod 2 (rank 71 980).  Measured tracemalloc peak: 339 MiB with a
+    # one-bit mask stored per basis word, 0.8 KiB with the closed-form index.
+    code = (
+        "import tracemalloc\n"
+        "from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits\n"
+        "tracemalloc.start()\n"
+        "project_l3_to_a(30, tree_mod2_bits(30, ((1, 2), 3)))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1 << 20
 
 
 # --- oracles: the letter-by-letter forms of the mask primitives ---------------
@@ -149,6 +188,14 @@ def test_project_l3_to_a_against_index_dict(g):
         assert project_l3_to_a(g, bits) == expected
 
 
+def test_project_l3_to_a_refuses_a_class_outside_l3():
+    # rank L_3 is 70 at genus 3, and its 8 a-words survive the projection
+    assert project_l3_to_a(3, (1 << 70) - 1) == 255
+    for bits in (-1, 1 << 70):
+        with pytest.raises(ValueError, match="not in L_3 mod 2 at genus 3"):
+            project_l3_to_a(3, bits)
+
+
 def test_transvection_action_example():
     # the transvection at b_1 sends [[a1,a2],a3] to itself plus [[b1,a2],a3]
     g = 3
@@ -227,19 +274,27 @@ def test_action_is_multiplicative():
 
 
 def test_l3_converter_rejects_fractions_under_optimize():
-    # the integrality guard is an explicit raise, so it survives python -O
+    # the integrality and basis-word guards are explicit raises, so they
+    # survive python -O.  Under the closed-form index a non-Lyndon key such
+    # as (2, 1, 1) would otherwise get a wrong bit.
     code = (
         "from fractions import Fraction\n"
-        "from torelli.lie import get_context\n"
+        "from torelli.lie import LieElement, get_context\n"
         "from torelli.sp_mod2 import l3_mod2_bits\n"
-        "x = get_context(3, 3).from_tree(((1, 2), 3)) * Fraction(1, 2)\n"
-        "try:\n"
-        "    l3_mod2_bits(x)\n"
-        "except ValueError:\n"
-        "    print('rejected')\n")
+        "ctx = get_context(3, 4)\n"
+        "for x in (get_context(3, 3).from_tree(((1, 2), 3)) * Fraction(1, 2),\n"
+        "          ctx.generator(1), ctx.monomial((1, 2, 3, 4)),\n"
+        "          LieElement(ctx, {(2, 1, 1): 1})):\n"
+        "    try:\n"
+        "        l3_mod2_bits(x)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n")
     run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "rejected"
+    fraction, *words = run.stdout.splitlines()
+    assert fraction.endswith("is not an integer")
+    assert words == [f"{w} is not a degree-3 basis word"
+                     for w in ((1,), (1, 2, 3, 4), (2, 1, 1))]
 
 
 def test_stigma_examples():
@@ -262,6 +317,28 @@ def test_kernel_lemma(g):
     assert ok and span_dim == ker_dim == witt_rank(2 * g, 3) - 2 * g
     if g == 3:
         assert span_dim == 64
+
+
+def _handle_triple_pieces(g):
+    """The pieces K_S of the contraction kernel: for each triple S of handles,
+    the kernel of the contraction on the basis words whose letters lie on the
+    handles of S, as vectors over the whole basis."""
+    words = get_context(g, 3).lyndon_basis(3)
+    for s in itertools.combinations(range(1, g + 1), 3):
+        on_s = [i for i, w in enumerate(words)
+                if all((x - 1) % g + 1 in s for x in w)]
+        piece = gf2_kernel([stigma(g, 1 << i) for i in on_s], len(on_s), 2 * g)
+        for v in piece.rows:
+            yield sum(1 << i for j, i in enumerate(on_s) if v >> j & 1)
+
+
+@pytest.mark.parametrize("g, rank", [(4, 160), (5, 320), (6, 560)])
+def test_kernel_is_the_sum_of_handle_triple_pieces(g, rank):
+    # the genus-4 check that, with the genus-3 orbit span, proves the kernel
+    # lemma at every genus (sp_mod2 docstring); genus 5 and 6 cross-check it
+    ker = stigma_kernel(g)
+    pieces = Mod2Subspace(ker.ambient_dim, _handle_triple_pieces(g))
+    assert pieces == ker and pieces.rank == rank
 
 
 def test_kernel_lemma_needs_genus3():
