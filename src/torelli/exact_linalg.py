@@ -1,8 +1,7 @@
-"""Exact linear algebra: integer lattices (HNF/SNF), rational row reduction,
-and bit-packed GF(2) subspaces.
-
-Everything is arbitrary precision: integer entries are Python ints, rational
-entries are fractions.Fraction.  No floating point anywhere.  Lattices and
+"""Exact linear algebra over two rings, Z and GF(2): integer lattices
+(HNF/SNF) and bit-packed GF(2) subspaces answer every engine question, and a
+rank over Q is the rank over Z of the rows cleared of denominators.
+Everything is arbitrary precision, with no floating point.  Lattices and
 row-reduced forms are returned as immutable tuples and the functions are
 pure; a Mod2Subspace is the one mutable object, growing by add.
 """
@@ -10,7 +9,7 @@ pure; a Mod2Subspace is the one mutable object, growing by add.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class DimensionMismatch(ValueError):
@@ -258,7 +257,19 @@ def quotient_diagonal(sub_rows, super_rows, width):
     return diag
 
 
+def rational_rank(rows):
+    """Rank over Q: the rank over Z of the rows cleared of denominators."""
+    rows = list(rows)
+    acc = _RowAccumulator(len(rows[0]) if rows else 0)
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        acc.add([v.numerator * (den // v.denominator) for v in row])
+    return len(acc.rows)
+
+
 # --- rational row reduction ---------------------------------------------
+# No engine path eliminates over Q: rref and solve_rational_combination stay
+# as bench tracer targets and as the tests' reference for the degree-3 trace.
 
 def rref(rows):
     """Reduced row echelon form over Q.  Returns (rows, pivot_cols) as tuples."""
@@ -266,6 +277,8 @@ def rref(rows):
     if not m:
         return (), ()
     ncols = len(m[0])
+    if any(len(r) != ncols for r in m):
+        raise DimensionMismatch("rows of unequal width")
     pivots = []
     r = 0
     for c in range(ncols):
@@ -287,16 +300,14 @@ def rref(rows):
     return rows_out, tuple(pivots)
 
 
-def rational_rank(rows):
-    return len(rref(rows)[0])
-
-
 def solve_rational_combination(rows, target):
     """Rational x with sum_i x[i]*rows[i] == target, or None."""
     rows = [list(r) for r in rows]
     if not rows:
         return None if any(target) else []
     width = len(rows[0])
+    if any(len(r) != width for r in rows) or len(target) != width:
+        raise DimensionMismatch(f"rows and target must have width {width}")
     # Row-reduce the augmented system [rows^T | target^T] by columns of rows.
     aug = [[Fraction(rows[i][c]) for i in range(len(rows))] + [Fraction(target[c])]
            for c in range(width)]

@@ -23,13 +23,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .exact_linalg import rational_rank, solve_rational_combination
+from .exact_linalg import rational_rank
 from .lie import (ContextMismatch, DegreeCapError, LieElement, get_context,
                   standard_bracketing, t_add_into)
 from .sp_mod2 import project_l3_to_a, tree_mod2_bits
-from .trees import (DerivationElement, TreeSum, congruent_mod_trees,
-                    diagram_rows, join, mod1_class_is_zero, omega_pairing,
-                    varpi)
+from .trees import (DerivationElement, TreeSum, congruent_mod_trees, join,
+                    mod1_class_is_zero, varpi)
 from .words import EXPANSION_MAX_DEGREE, comm, conjugate, parse_word, theta
 
 CAP = EXPANSION_MAX_DEGREE  # the calculus stops where the stored expansion does
@@ -397,7 +396,7 @@ def genus_of_lift(table, lift):
     rank of the degree-2 skew form of theta(lift)."""
     th = _null_theta(table, _as_word(lift), "lift")
     n = 2 * table.ctx.genus
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     for w, c in th.degree_part(2).terms.items():
         i, j = w[0] - 1, w[1] - 1
         mat[i][j] = c
@@ -450,14 +449,11 @@ def casson_values(table, factor):
 # --- the degree-3 trace -----------------------------------------------------
 
 def tr3(ts):
-    """Morita's degree-3 trace into the cubic symmetric power.
-
-    The input tree sum is rewritten (rationally, through eta) over chain
-    diagrams (a,b,c,d,e), on which the trace is
-      2 w(e,a) bcd + 2 w(a,d) ecb + 2 w(d,b) ace + 2 w(b,e) dca.
+    """Morita's degree-3 trace into the cubic symmetric power: the
+    contraction of eta(ts) in H tensor L_4.  Each letter z takes the tensor
+    words z x y w of the derivation's value on z, read as the monomial xyw.
     Returns a map from sorted letter triples to Fraction.
     """
-    genus = ts.genus
     dvs = ts.eta_graded()
     if not dvs:
         return {}
@@ -465,20 +461,11 @@ def tr3(ts):
         raise ValueError(f"tr3 needs a degree-3 tree sum, got {sorted(dvs)}")
     dv = dvs[3]
     out = {}
-    for md in dv.multidegrees():
-        chains, vecs = diagram_rows(genus, md)
-        combo = solve_rational_combination(vecs, dv.component_vector(md))
-        if combo is None:
-            raise ValueError("degree-3 element outside the span of chains")
-        for coeff, c in zip(combo, chains):
-            if not coeff:
-                continue
-            a, b, cc, d, e = c
-            for w, mono in ((omega_pairing(genus, e, a), (b, cc, d)),
-                            (omega_pairing(genus, a, d), (e, cc, b)),
-                            (omega_pairing(genus, d, b), (a, cc, e)),
-                            (omega_pairing(genus, b, e), (d, cc, a))):
-                t_add_into(out, {tuple(sorted(mono)): 2 * w}, coeff)
+    for z in range(1, 2 * ts.genus + 1):
+        num, den = dv.value_on_letter(z).to_tensor()
+        for word, c in num.items():
+            if word[0] == z:
+                t_add_into(out, {tuple(sorted(word[1:])): Fraction(c, den)})
     return out
 
 

@@ -479,20 +479,19 @@ def _eta_int_vector(ts, md):
 
 @lru_cache(maxsize=None)
 def diagram_rows(genus, md):
-    """(colorings, integer eta vectors) of the fixed-end caterpillars of the
-    md component, in the order of basis_colored_trees.  The rows span the
-    integer tree lattice of md: every diagram rooted at a leaf of the
-    smallest color is a bracket, and right-normed brackets ending in the
-    largest color span its class over Z."""
-    pairs = basis_colored_trees(genus, md)
-    return (tuple(c for c, _ts in pairs),
-            tuple(_eta_int_vector(ts, md) for _c, ts in pairs))
+    """Integer eta vectors of the fixed-end caterpillars of the md component,
+    in the order of basis_colored_trees.  The rows span the integer tree
+    lattice of md: every diagram rooted at a leaf of the smallest color is a
+    bracket, and right-normed brackets ending in the largest color span its
+    class over Z."""
+    return tuple(_eta_int_vector(ts, md)
+                 for _c, ts in basis_colored_trees(genus, md))
 
 
 @lru_cache(maxsize=None)
 def tree_lattice(genus, degree, md):
     """HNF lattice of eta images of integer diagrams in the md component."""
-    _, rows = diagram_rows(genus, md)
+    rows = diagram_rows(genus, md)
     return hnf(rows, ambient_dim=len(component_basis(genus, degree, md)))
 
 
@@ -505,7 +504,7 @@ def degree4_presentation(genus, md):
     sublattice, followed by the half-symmetric rows, whose trees u are
     half_trees in the same order.
     """
-    _, rows = diagram_rows(genus, md)
+    rows = diagram_rows(genus, md)
     half = half_symmetric_generators(genus, md)
     return (rows + tuple(vec for (_u, vec) in half),
             tuple(u for (u, _vec) in half))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_python
+from conftest import SEED, run_python
 from torelli.exact_linalg import (DimensionMismatch, IntegerLattice,
                                   Mod2Subspace, gf2_apply, gf2_kernel, gf2_span_closure, hnf,
-                                  quotient_diagonal, rational_rank,
+                                  quotient_diagonal, rational_rank, rref,
                                   snf_diagonal, solve_integer_combination,
                                   solve_rational_combination)
 
@@ -223,6 +223,41 @@ def test_rref_ranks():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[1, 0], [0, 1]]) == 2
     assert rational_rank([]) == 0
+
+
+def test_rational_routines_refuse_ragged_input():
+    with pytest.raises(DimensionMismatch):
+        solve_rational_combination([[1, 0], [0, 1]], [1, 1, 5])
+    with pytest.raises(DimensionMismatch):
+        solve_rational_combination([[1, 0], [0, 1]], [1])
+    for rows in ([[1], [0, 1]], [[1, 0], [1]], [[0, 1], [1, 2, 3]]):
+        with pytest.raises(DimensionMismatch):
+            rational_rank(rows)
+        with pytest.raises(DimensionMismatch):
+            rref(rows)
+        with pytest.raises(DimensionMismatch):
+            solve_rational_combination(rows, [1, 1])
+
+
+def test_rational_rank_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(SEED)
+    cases = [[], [[0, 0, 0]], [[Fraction(1, 2), 1], [1, 2]]]
+    for _ in range(150):
+        width = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-3, 3),
+                             Fraction(rng.randint(-4, 4), rng.randint(1, 6))))
+                 for _ in range(width)] for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), [0] * width)
+        if rng.random() < 0.3:  # a rational multiple of an earlier row
+            q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append([q * v for v in rng.choice(rows)])
+        cases.append(rows)
+    for rows in cases:
+        expected = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                                  for v in row] for row in rows]).rank()
+        assert rational_rank(rows) == expected, rows
 
 
 # --- GF(2) -------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -7,12 +9,13 @@ from conftest import SEED, run_python
 from torelli.exact_linalg import Mod2Subspace, gf2_apply, gf2_kernel
 from torelli.lie import (DegreeCapError, get_context, lyndon_words,
                          standard_bracketing, witt_rank)
-from torelli.sp_mod2 import (SpTransformation, _l3_basis, _l3_index,
-                             _l3_triples, action_matrix, l3_mod2_bits,
-                             lower_bound_exponents, omega_bracket_bits,
-                             orbit_span, project_l3_to_a, standard_generators,
-                             stigma, stigma_kernel, transvection,
-                             tree_mod2_bits, verify_kernel_lemma, verify_ses)
+from torelli.sp_mod2 import (SpTransformation, _bracket3, _l3_basis,
+                             _l3_index, _l3_triples, action_matrix,
+                             l3_mod2_bits, lower_bound_exponents,
+                             omega_bracket_bits, orbit_span, project_l3_to_a,
+                             standard_generators, stigma, stigma_kernel,
+                             transvection, tree_mod2_bits, verify_kernel_lemma,
+                             verify_ses)
 
 
 # --- the closed form of the L_3 basis ----------------------------------------
@@ -339,6 +342,43 @@ def test_kernel_is_the_sum_of_handle_triple_pieces(g, rank):
     ker = stigma_kernel(g)
     pieces = Mod2Subspace(ker.ambient_dim, _handle_triple_pieces(g))
     assert pieces == ker and pieces.rank == rank
+
+
+def _handles(genus, bits, words):
+    """The handles of the letters of the basis words in a bitmask."""
+    out = set()
+    while bits:
+        low = bits & -bits
+        out.update((x - 1) % genus + 1 for x in words[low.bit_length() - 1])
+        bits ^= low
+    return out
+
+
+@pytest.mark.parametrize("g, rank", [(5, 320), (6, 560), (7, 896), (8, 1344)])
+def test_kernel_is_spanned_by_four_handle_elements(g, rank):
+    # step 2 of the kernel lemma (sp_mod2 docstring): with r_x^j the word
+    # [[x,a_j],b_j], which contracts to x off x's handle, the elements
+    # w + sum_{x in sigma(w)} r_x^j (j the smallest handle w misses) and
+    # r_x^j + r_x^k (j, k consecutive handles other than x's) span the kernel
+    n = 2 * g
+    words = list(_l3_basis(n))
+
+    def r(x, j):
+        return _bracket3(n, x, j, g + j)
+
+    elements = []
+    for i, w in enumerate(words):
+        j = min(set(range(1, g + 1)) - _handles(g, 1 << i, words))
+        sigma = stigma(g, 1 << i)
+        elements.append(1 << i ^ reduce(
+            xor, (r(x, j) for x in range(1, n + 1) if sigma >> x - 1 & 1), 0))
+    for x in range(1, n + 1):
+        free = [j for j in range(1, g + 1) if j != (x - 1) % g + 1]
+        elements.extend(r(x, j) ^ r(x, k) for j, k in zip(free, free[1:]))
+    for v in elements:
+        assert stigma(g, v) == 0 and len(_handles(g, v, words)) <= 4
+    span = Mod2Subspace(len(words), elements)
+    assert span == stigma_kernel(g) and span.rank == rank
 
 
 def test_kernel_lemma_needs_genus3():

@@ -361,7 +361,8 @@ def test_fixed_end_caterpillars_span_all_caterpillars(genus, degrees):
     for degree in degrees:
         for md in all_multidegrees(genus, degree + 2):
             everything = _all_caterpillars(genus, md)
-            colorings, rows = diagram_rows(genus, md)
+            colorings = [c for c, _ts in basis_colored_trees(genus, md)]
+            rows = diagram_rows(genus, md)
             by_coloring = dict(everything)
             assert all(by_coloring[c] == list(r)
                        for c, r in zip(colorings, rows)), md
@@ -381,6 +382,18 @@ def _rand_tree(rng, leaves, letters):
     return (_rand_tree(rng, k, letters), _rand_tree(rng, leaves - k, letters))
 
 
+def _chain_trace(genus, chain):
+    """Morita's trace of the chain diagram (a,b,c,d,e) = (a,b) -- (c,(d,e)):
+    2w(e,a) bcd + 2w(a,d) ecb + 2w(d,b) ace + 2w(b,e) dca."""
+    a, b, c, d, e = chain
+    out = {}
+    for (x, y), mono in (((e, a), (b, c, d)), ((a, d), (e, c, b)),
+                         ((d, b), (a, c, e)), ((b, e), (d, c, a))):
+        key = tuple(sorted(mono))
+        out[key] = out.get(key, 0) + 2 * omega_pairing(genus, x, y)
+    return {k: v for k, v in out.items() if v}
+
+
 def _tr3_over_all_chains(ts):
     """Morita's trace of a degree-3 tree sum, solved over every chain
     coloring of each component rather than the fixed-end ones."""
@@ -395,14 +408,20 @@ def _tr3_over_all_chains(ts):
             [r for _c, r in chains], dv.component_vector(md))
         assert combo is not None, md
         for coeff, (c, _r) in zip(combo, chains):
-            a, b, cc, d, e = c
-            for w, mono in ((omega_pairing(genus, e, a), (b, cc, d)),
-                            (omega_pairing(genus, a, d), (e, cc, b)),
-                            (omega_pairing(genus, d, b), (a, cc, e)),
-                            (omega_pairing(genus, b, e), (d, cc, a))):
-                key = tuple(sorted(mono))
-                out[key] = out.get(key, 0) + 2 * w * coeff
+            for key, v in _chain_trace(genus, c).items():
+                out[key] = out.get(key, 0) + v * coeff
     return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_tr3_matches_the_chain_formula_on_a_spanning_set(genus):
+    # The fixed-end caterpillars of each degree-3 multidegree span its tree
+    # lattice (basis_colored_trees), so every degree-3 tree sum is a rational
+    # combination of them.  tr3 is linear, so matching the chain formula on
+    # these chains it is Morita's trace on every degree-3 tree sum.
+    for md in all_multidegrees(genus, 5):
+        for chain, ts in basis_colored_trees(genus, md):
+            assert tr3(ts) == _chain_trace(genus, chain), chain
 
 
 @pytest.mark.parametrize("genus", [2, 3])
