@@ -4,14 +4,16 @@ at a nilpotency class N <= 5, in the Lyndon basis.
 Letters are 1..2g with a_i = i and b_i = g + i, so the generator order is
 a_1 < ... < a_g < b_1 < ... < b_g.  A Lie element is a sparse map from Lyndon
 words (tuples of letters) to exact rationals, an `int` where integral, else a
-`Fraction`.  Products that need the associative structure (the truncated BCH
-product, rewriting brackets into the basis) go through the truncated tensor
-algebra on integer numerators over one denominator: a Lyndon monomial expands
-to the tensor polynomial of its standard bracketing, and a tensor polynomial
-that happens to be a Lie element is decomposed back by triangularity (the
-smallest word of a homogeneous Lie polynomial is Lyndon and carries the
-coefficient of its bracketing, whose expansion has coefficient 1 on that word,
-so decomposing never divides).
+`Fraction`.  The bracket of two Lyndon monomials is rewritten in the basis over
+Z on the standard factorization of the smaller word (Reutenauer, Free Lie
+Algebras, 1993), without the tensor algebra.  Products that need the
+associative structure (the truncated BCH product, and `theta` in `words`) go
+through the truncated tensor algebra on integer numerators over one
+denominator: a Lyndon monomial expands to the tensor polynomial of its
+standard bracketing, and a tensor polynomial that happens to be a Lie element
+is decomposed back by triangularity (the smallest word of a homogeneous Lie
+polynomial is Lyndon and carries the coefficient of its bracketing, whose
+expansion has coefficient 1 on that word, so decomposing never divides).
 """
 
 from __future__ import annotations
@@ -88,21 +90,27 @@ def is_lyndon(word):
     return all(word < word[i:] + word[:i] for i in range(1, n))
 
 
+def _standard_factor(word):
+    """The standard factorization (u, v) of a Lyndon word, word = uv: v is its
+    longest proper Lyndon suffix, equivalently its lexicographically least
+    proper suffix.  None for a letter."""
+    if len(word) == 1:
+        return None
+    v = min(word[i:] for i in range(1, len(word)))
+    return word[:len(word) - len(v)], v
+
+
 @lru_cache(maxsize=None)
 def standard_bracketing(word):
-    """Right-normed standard bracketing tree of a Lyndon word.
-
-    The factorization w = uv takes v to be the longest proper suffix of w that
-    is itself Lyndon (equivalently its lexicographically least proper suffix).
-    Trees are nested tuples with int leaves.
+    """Right-normed standard bracketing tree of a Lyndon word, built on its
+    standard factorization.  Trees are nested tuples with int leaves.
     """
     if not is_lyndon(word):
         raise ValueError(f"not a Lyndon word: {word}")
-    if len(word) == 1:
+    factors = _standard_factor(word)
+    if factors is None:
         return word[0]
-    v = min(word[i:] for i in range(1, len(word)))
-    u = word[:len(word) - len(v)]
-    return (standard_bracketing(u), standard_bracketing(v))
+    return tuple(standard_bracketing(f) for f in factors)
 
 
 def tree_size(tree):
@@ -195,7 +203,8 @@ def _expand_tree(tree):
 
 @lru_cache(maxsize=None)
 def _expansion(word):
-    """Tensor expansion of the standard bracketing of a Lyndon word."""
+    """Tensor expansion of the standard bracketing of a Lyndon word: what
+    `to_tensor` (for BCH and `theta`) and `decompose` read; brackets never do."""
     return _expand_tree(standard_bracketing(word))
 
 
@@ -230,14 +239,39 @@ def lie_terms(tensor):
     return {w: Fraction(c, den) for w, c in decompose(num).items()}
 
 
+def _bracket_into(out, left, right, cap):
+    """Add sum c1 c2 [w1, w2] over the terms of two Lyndon-basis maps into out,
+    skipping the pairs whose total length passes cap."""
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            if len(w1) + len(w2) <= cap:
+                t_add_into(out, _bracket_words(w1, w2), c1 * c2)
+
+
 @lru_cache(maxsize=None)
 def _bracket_words(w1, w2):
-    """[monomial(w1), monomial(w2)] in the Lyndon basis (integer coeffs)."""
-    p1, p2 = _expansion(w1), _expansion(w2)
+    """[monomial(w1), monomial(w2)] in the Lyndon basis (integer coeffs).
+
+    Rewriting on the standard factorization (Reutenauer, Free Lie Algebras,
+    1993), with no tensor algebra: for Lyndon w1 < w2, if w1 is a letter or
+    its standard factorization w1 = uv has v >= w2, then w1 w2 is Lyndon with
+    standard factorization (w1, w2); otherwise Jacobi gives
+    [[u, v], w2] = [u, [v, w2]] + [[u, w2], v].  Every word produced has
+    length len(w1) + len(w2), and the terms come in increasing word order.
+    """
+    if w1 == w2:
+        return {}
+    if w1 > w2:
+        return {w: -c for w, c in _bracket_words(w2, w1).items()}
+    factors = _standard_factor(w1)
+    if factors is None or factors[1] >= w2:
+        return {w1 + w2: 1}
+    u, v = factors
     cap = len(w1) + len(w2)
-    comm = t_mul(p1, p2, cap)
-    t_add_into(comm, t_mul(p2, p1, cap), -1)
-    return decompose(comm)
+    out = {}
+    _bracket_into(out, {u: 1}, _bracket_words(v, w2), cap)
+    _bracket_into(out, _bracket_words(u, w2), {v: 1}, cap)
+    return dict(sorted(out.items()))
 
 
 class LieContext:
@@ -421,14 +455,9 @@ class LieElement(SparseCombination):
     def bracket(self, other):
         """[self, other] in the Lyndon basis, degrees above the class dropped."""
         self._check(other)
-        ctx = self.ctx
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                if len(w1) + len(w2) > ctx.max_degree:
-                    continue
-                t_add_into(out, _bracket_words(w1, w2), c1 * c2)
-        return LieElement(ctx, out)
+        _bracket_into(out, self.terms, other.terms, self.ctx.max_degree)
+        return LieElement(self.ctx, out)
 
     def to_tensor(self):
         """The tensor expansion as (integer numerators, denominator), the

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import SEED, rand_lie, run_python
 from torelli.lie import (ContextMismatch, DegreeCapError, LieContext,
-                         LieElement, decompose, get_context,
-                         ideal_omega_component, is_lyndon, lbar_rank,
-                         lie_terms, standard_bracketing, t_add_into, t_exp,
-                         t_log, t_mul, witt_rank)
+                         LieElement, _bracket_words, _expand_tree, _expansion,
+                         decompose, get_context, ideal_omega_component,
+                         is_lyndon, lbar_rank, lie_terms, lyndon_words,
+                         standard_bracketing, t_add_into, t_exp, t_log, t_mul,
+                         witt_rank)
 from torelli.trees import DerivationElement, TreeSum
 from torelli.words import get_table
 
@@ -90,6 +91,64 @@ def test_bracket_jacobi_rewrite_against_tensor_oracle():
     t1, t2, t3 = {(1,): Fraction(1)}, {(2,): Fraction(1)}, {(3,): Fraction(1)}
     oracle = tensor_comm(tensor_comm(t1, t2), t3)
     assert lhs.to_tensor() == (oracle, 1)
+
+
+@pytest.mark.parametrize("letters", [8, 10])
+def test_bracket_words_against_tensor_route(letters):
+    # the rewriting on standard factorizations against the commutator of the
+    # two tensor expansions, decomposed back, on seeded random pairs of total
+    # length <= 5; and [w2, w1] = -[w1, w2]
+    rng = random.Random(SEED + letters)
+    words = lyndon_words(letters, 4)
+    for _ in range(300):
+        w1 = rng.choice(words)
+        w2 = rng.choice([w for w in words if len(w1) + len(w) <= 5])
+        p1, p2 = (_expand_tree(standard_bracketing(w)) for w in (w1, w2))
+        n = len(w1) + len(w2)
+        comm = t_mul(p1, p2, n)
+        t_add_into(comm, t_mul(p2, p1, n), -1)
+        assert _bracket_words(w1, w2) == decompose(comm), (w1, w2)
+        assert _bracket_words(w2, w1) == \
+            {w: -c for w, c in _bracket_words(w1, w2).items()}, (w1, w2)
+
+
+def _rand_tree(rng, size, letters):
+    if size == 1:
+        return rng.randint(1, letters)
+    left = rng.randint(1, size - 1)
+    return (_rand_tree(rng, left, letters),
+            _rand_tree(rng, size - left, letters))
+
+
+def test_brackets_stay_off_the_tensor_layer():
+    # evaluating trees and the omega ideal only brackets Lyndon words, which
+    # never expands a word into the tensor algebra
+    _expansion.cache_clear()
+    _bracket_words.cache_clear()
+    rng = random.Random(SEED)
+    ctx = LieContext(3, 5)
+    for size in range(2, 6):
+        for _ in range(50):
+            ctx.from_tree(_rand_tree(rng, size, ctx.letters))
+    assert ideal_omega_component(ctx, 4)
+    assert _bracket_words.cache_info().currsize
+    assert _expansion.cache_info().currsize == 0
+
+
+def test_brackets_stay_off_the_tensor_layer_under_optimize():
+    code = (
+        "from torelli.lie import (LieContext, _expansion, ideal_omega_component,\n"
+        "                         lyndon_words, standard_bracketing)\n"
+        "ctx = LieContext(3, 5)\n"
+        "for w in lyndon_words(ctx.letters, 5):\n"
+        "    ctx.from_tree(standard_bracketing(w))\n"
+        "for w in lyndon_words(ctx.letters, 3):\n"
+        "    ctx.from_tree((standard_bracketing(w), (1, ctx.letters)))\n"
+        "ideal_omega_component(ctx, 4)\n"
+        "print(_expansion.cache_info().currsize)\n")
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
 
 
 def test_t_mul_against_pairwise_product():
