@@ -3,17 +3,19 @@ at a nilpotency class N <= 5, in the Lyndon basis.
 
 Letters are 1..2g with a_i = i and b_i = g + i, so the generator order is
 a_1 < ... < a_g < b_1 < ... < b_g.  A Lie element is a sparse map from Lyndon
-words (tuples of letters) to exact rationals, an `int` where integral, else a
-`Fraction`.  The bracket of two Lyndon monomials is rewritten in the basis over
-Z on the standard factorization of the smaller word (Reutenauer, Free Lie
-Algebras, 1993), without the tensor algebra.  Products that need the
-associative structure (the truncated BCH product, and `theta` in `words`) go
-through the truncated tensor algebra on integer numerators over one
-denominator: a Lyndon monomial expands to the tensor polynomial of its
-standard bracketing, and a tensor polynomial that happens to be a Lie element
-is decomposed back by triangularity (the smallest word of a homogeneous Lie
-polynomial is Lyndon and carries the coefficient of its bracketing, whose
-expansion has coefficient 1 on that word, so decomposing never divides).
+words (tuples of letters) to exact rationals, each an `int` or a `Fraction`.
+Integer numerators over one shared denominator are formed by `_numerators`
+and divided back by `_over`, once per coefficient.  The bracket of two Lyndon
+monomials is rewritten in the basis over Z on the standard factorization of
+the smaller word (Reutenauer, Free Lie Algebras, 1993), without the tensor
+algebra.  Products that need the associative structure (the truncated BCH
+product, and `theta` in `words`) go through the truncated tensor algebra on
+integer numerators over one denominator: a Lyndon monomial expands to the
+tensor polynomial of its standard bracketing, and a tensor polynomial that
+happens to be a Lie element is decomposed back by triangularity (the smallest
+word of a homogeneous Lie polynomial is Lyndon and carries the coefficient of
+its bracketing, whose expansion has coefficient 1 on that word, so
+decomposing never divides).
 """
 
 from __future__ import annotations
@@ -232,11 +234,28 @@ def decompose(poly):
     return terms
 
 
+def _numerators(terms):
+    """A coefficient map as (integer numerators, den): den is the lcm of the
+    coefficients' denominators, an `int` counting as denominator 1."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
+
+
+def _over(nums, den):
+    """The coefficient map nums / den: an `int` where den divides the
+    numerator, else one Fraction.  With den = 1 this is nums itself."""
+    if den == 1:
+        return nums
+    return {k: c // den if c % den == 0 else Fraction(c, den)
+            for k, c in nums.items()}
+
+
 def lie_terms(tensor):
     """The Lyndon-basis terms of a Lie element given as (integer numerators,
-    denominator): decomposed over Z, then one Fraction per term."""
+    denominator): decomposed over Z, then divided once per term."""
     num, den = tensor
-    return {w: Fraction(c, den) for w, c in decompose(num).items()}
+    return _over(decompose(num), den)
 
 
 def _bracket_into(out, left, right, cap):
@@ -357,9 +376,7 @@ class LieContext:
         if out is None:
             if isinstance(tree, int):
                 out = self.generator(tree)
-            elif tree_size(tree) > self.max_degree:
-                out = self.zero()
-            else:
+            else:  # the bracket drops a tree beyond the class to zero
                 out = self.from_tree(tree[0]).bracket(self.from_tree(tree[1]))
             self._tree_memo[tree] = out
         return out
@@ -422,8 +439,13 @@ class SparseCombination:
 
 
 class LieElement(SparseCombination):
-    """Sparse exact-rational combination of Lyndon basis monomials; each
-    coefficient is an `int` where integral, else a `Fraction`."""
+    """Sparse exact-rational combination of Lyndon basis monomials.
+
+    A coefficient is an `int` or a `Fraction`.  The terms that `lie_terms`
+    returns, and so those of `bch` and `theta`, are an `int` wherever
+    integral; `+`, `-`, a scalar `*` and `bracket` with `Fraction`
+    coefficients may leave a `Fraction(n, 1)`, which compares, hashes, prints
+    and serializes like `n`."""
 
     __slots__ = ("ctx", "terms")
 
@@ -462,10 +484,10 @@ class LieElement(SparseCombination):
     def to_tensor(self):
         """The tensor expansion as (integer numerators, denominator), the
         denominator being the lcm of the coefficients' denominators."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        num, den = _numerators(self.terms)
         out = {}
-        for w, c in self.terms.items():
-            t_add_into(out, _expansion(w), c.numerator * (den // c.denominator))
+        for w, c in num.items():
+            t_add_into(out, _expansion(w), c)
         return out, den
 
     def bch(self, other):

@@ -10,6 +10,10 @@ that leaf) and is injective over Q.  The symbolic presentation is retained
 because the contraction operations and the half-tree bookkeeping of the mod-2
 cokernel map need it.
 
+Gluing (`bracket`, `contract`), `join` and `eta` run over Z: they take the
+integer numerators of their inputs over one shared denominator, add every
+glued or rerooted term as an `int`, and divide once per output coefficient.
+
 Degree of a diagram = number of trivalent vertices = total leaves - 2.
 """
 
@@ -19,7 +23,8 @@ from functools import lru_cache
 
 from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
 from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
-                  get_context, lyndon_words, t_add_into, tree_size)
+                  _numerators, _over, get_context, lyndon_words, t_add_into,
+                  tree_size)
 from .sp_mod2 import tree_mod2_bits
 
 
@@ -96,8 +101,12 @@ def join_leaf_decompositions(u, v):
 
 
 class TreeSum(SparseCombination):
-    """Formal rational combination of joined trees at a fixed genus, with
-    `int` coefficients where integral and `Fraction` ones otherwise.
+    """Formal rational combination of joined trees at a fixed genus.
+
+    A coefficient is an `int` or a `Fraction`.  What `join`, `bracket` and
+    `contract` return, and the terms of `eta_graded`, are an `int` wherever
+    integral; `+`, `-` and a scalar `*` may leave a `Fraction(n, 1)`, which
+    compares, hashes, prints and serializes like `n`.
 
     Every key is a canonical join (u, v) as made by add_join: both trees in
     sorted-children form and u <= v, so equal joins always share one key and
@@ -157,9 +166,10 @@ class TreeSum(SparseCombination):
 
     def eta_graded(self):
         """{degree: DerivationElement} over the degrees present."""
+        nums, den = _numerators(self.terms)
         per = {}
         g = self.genus
-        for (u, v), c in self.terms.items():
+        for (u, v), c in nums.items():
             d = tree_size(u) + tree_size(v) - 2
             if d == 0:
                 raise ValueError("degree-0 join has no derivation image")
@@ -168,20 +178,21 @@ class TreeSum(SparseCombination):
             for color, tree in join_leaf_decompositions(u, v):
                 t_add_into(by_color.setdefault(color, {}),
                            ctx.from_tree(tree).terms, c)
-        return {d: DerivationElement(g, d, {(h, w): x
-                                            for h, part in by_color.items()
-                                            for w, x in part.items()})
+        return {d: DerivationElement(g, d, _over(
+                    {(h, w): x for h, part in by_color.items()
+                     for w, x in part.items()}, den))
                 for d, by_color in per.items()}
 
     def _pairing_product(self, other, pairing):
         self._check(other)
         g, out = self.genus, TreeSum(self.genus)
-        for (u1, v1), c1 in self.terms.items():
-            if tree_size(u1) + tree_size(v1) == 2:
+        (n1, d1), (n2, d2) = _numerators(self.terms), _numerators(other.terms)
+        for (u1, v1), c1 in n1.items():
+            if isinstance(u1, int) and isinstance(v1, int):
                 raise ValueError("degree-0 join cannot be glued")
             dec1 = join_leaf_decompositions(u1, v1)
-            for (u2, v2), c2 in other.terms.items():
-                if tree_size(u2) + tree_size(v2) == 2:
+            for (u2, v2), c2 in n2.items():
+                if isinstance(u2, int) and isinstance(v2, int):
                     raise ValueError("degree-0 join cannot be glued")
                 dec2 = join_leaf_decompositions(u2, v2)
                 for x, tx in dec1:
@@ -189,6 +200,7 @@ class TreeSum(SparseCombination):
                         w = pairing(g, x, y)
                         if w:
                             out.add_join(tx, ty, c1 * c2 * w)
+        out.terms = _over(out.terms, d1 * d2)
         return out
 
     def bracket(self, other):
@@ -231,18 +243,24 @@ def join(x, y, allow_degree0=False):
     """
     if x.ctx.genus != y.ctx.genus:
         raise ValueError("genus mismatch")
+    (nx, dx), (ny, dy) = _numerators(x.terms), _numerators(y.terms)
+    rooted_y = LieElement(y.ctx, ny).rooted_terms()
     out = TreeSum(x.ctx.genus)
-    for cx, tx in x.rooted_terms():
-        for cy, ty in y.rooted_terms():
+    for cx, tx in LieElement(x.ctx, nx).rooted_terms():
+        for cy, ty in rooted_y:
             if not allow_degree0 and isinstance(tx, int) and isinstance(ty, int):
                 raise ValueError("degree-0 join; pass allow_degree0=True")
             out.add_join(tx, ty, cx * cy)
+    out.terms = _over(out.terms, dx * dy)
     return out
 
 
 class DerivationElement(SparseCombination):
     """Element of H tensor L_{degree+1}: sparse map (letter, word) -> exact
-    rational coefficient, an `int` where integral, else a `Fraction`.
+    rational coefficient, an `int` or a `Fraction`.  The images that
+    `TreeSum.eta_graded` returns are an `int` wherever integral; `+`, `-`, a
+    scalar `*` and `bracket` may leave a `Fraction(n, 1)`, which compares,
+    hashes, prints and serializes like `n`.
 
     Under h |-> omega(h, -) this is the derivation z |-> sum omega(h, z) * w.
     """

@@ -7,12 +7,12 @@ import pytest
 from conftest import SEED, rand_lie, run_python
 from torelli.lie import (ContextMismatch, DegreeCapError, LieContext,
                          LieElement, _bracket_words, _expand_tree, _expansion,
-                         decompose, get_context, ideal_omega_component,
-                         is_lyndon, lbar_rank, lie_terms, lyndon_words,
-                         standard_bracketing, t_add_into, t_exp, t_log, t_mul,
-                         witt_rank)
-from torelli.trees import DerivationElement, TreeSum
-from torelli.words import get_table
+                         _numerators, _over, decompose, get_context,
+                         ideal_omega_component, is_lyndon, lbar_rank,
+                         lie_terms, lyndon_words, standard_bracketing,
+                         t_add_into, t_exp, t_log, t_mul, witt_rank)
+from torelli.trees import DerivationElement, TreeSum, join
+from torelli.words import get_table, parse_word, theta
 
 
 def test_lyndon_words_examples():
@@ -257,6 +257,66 @@ def test_rooted_terms_roundtrip():
         for c, tree in x.rooted_terms():
             total = total + ctx.from_tree(tree) * c
         assert total == x
+
+
+def test_numerators_over_one_denominator():
+    terms = {(1,): Fraction(-3, 4), (2,): 2, (1, 2): Fraction(5, 6),
+             (1, 3): Fraction(-4, 1)}
+    nums, den = _numerators(terms)
+    assert den == 12 and nums == {(1,): -9, (2,): 24, (1, 2): 10, (1, 3): -48}
+    assert all(type(c) is int for c in nums.values())
+    back = _over(nums, den)
+    assert back == terms and list(back) == list(terms)
+    assert [type(c) for c in back.values()] == [Fraction, int, Fraction, int]
+    assert _numerators({}) == ({}, 1)
+    assert _numerators({(1,): -7}) == ({(1,): -7}, 1)
+    assert _over({(1,): -7}, 1) == {(1,): -7}
+
+
+def test_tensor_round_trip_through_lie_terms():
+    rng = random.Random(SEED)
+    for genus, cap in ((1, 3), (2, 4), (3, 5)):
+        ctx = get_context(genus, cap)
+        for k in range(60):
+            dens = (1,) if k % 4 == 0 else (1, 2, 3, 4, 12)
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                word = rng.choice(ctx.lyndon_basis(rng.randint(1, cap)))
+                terms[word] = Fraction(rng.choice((-7, -2, -1, 1, 3, 4)),
+                                       rng.choice(dens))
+            x = LieElement(ctx, terms)
+            num, den = x.to_tensor()
+            assert all(type(c) is int for c in num.values())
+            if dens == (1,):
+                assert den == 1
+            back = lie_terms((num, den))
+            assert back == x.terms
+            assert not any(type(c) is Fraction and c.denominator == 1
+                           for c in back.values())
+
+
+def test_numerator_kernels_leave_no_integral_fraction():
+    # lie_terms, join, bracket/contract and eta_graded divide once per output
+    # coefficient, so what comes out integral is an int
+    def integral_fractions(terms):
+        return [c for c in terms.values()
+                if type(c) is Fraction and c.denominator == 1]
+
+    value = theta(parse_word("a1+b2-a1-b1+a2+"), get_table(3, 4))
+    assert len(value.terms) == 67 and not integral_fractions(value.terms)
+    ctx = get_context(3, 3)
+    half = ctx.gen_a(1) * Fraction(1, 2)
+    double = ctx.gen_b(1).bracket(ctx.gen_a(2)) * Fraction(2)
+    joined = join(half, double)
+    assert [type(c) for c in joined.terms.values()] == [int]
+    halves = TreeSum(3, {((1, 2), (4, 5)): Fraction(1, 2)})
+    doubles = TreeSum(3, {((1, 4), (2, 3)): Fraction(2)})
+    for glued in (halves.bracket(doubles), halves.contract(doubles)):
+        assert glued.terms and not integral_fractions(glued.terms)
+    for ts in (joined, doubles):
+        images = ts.eta_graded()
+        assert images and all(not integral_fractions(dv.terms)
+                              for dv in images.values())
 
 
 def test_omega():

@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from conftest import (SEED, independent_eta, rand_homogeneous, rand_tree_sum,
                       run_python)
 from torelli.exact_linalg import hnf, rational_rank, solve_rational_combination
-from torelli.lie import ContextMismatch, get_context, witt_rank
+from torelli.lie import (ContextMismatch, LieElement, get_context, t_add_into,
+                         tree_size, witt_rank)
 from torelli.mcg import tr3
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, all_multidegrees,
                            basis_colored_trees, canonical_tree, component_basis,
-                           degree4_presentation, diagram_rows,
+                           degree4_presentation, diagram_rows, ell_pairing,
                            half_symmetric_generators, join,
-                           lcst_component_diagonal, lcst_full_diagonals,
-                           mod1_class_is_zero, omega_pairing, tree_lattice,
-                           varpi)
+                           join_leaf_decompositions, lcst_component_diagonal,
+                           lcst_full_diagonals, mod1_class_is_zero,
+                           omega_pairing, tree_lattice, varpi)
 
 
 def test_join_single_monomials():
@@ -625,3 +626,85 @@ def test_tree_sum_linear_ops_match_join_by_join(left, right):
     for sign, combo in ((1, a + b), (-1, a - b)):
         rebuilt = _sum_of_joins(left + [(u, v, sign * c) for u, v, c in right])
         assert combo.terms == rebuilt.terms
+
+
+# --- the integer gluing kernels against the Fraction route -------------------
+
+_DENOMINATORS = (1, 2, 3, 4, 6, 12)
+_rational_joins = st.tuples(
+    _joins, st.lists(st.sampled_from(_DENOMINATORS), min_size=6, max_size=6),
+).map(lambda pair: [(u, v, Fraction(c, d))
+                    for (u, v, c), d in zip(*pair)
+                    if not (isinstance(u, int) and isinstance(v, int))])
+
+
+def _glued_by_fractions(a, b, pairing):
+    """The gluing of two tree sums term by term, one Fraction product per
+    glued leaf pair."""
+    out = TreeSum(a.genus)
+    for (u1, v1), c1 in a.terms.items():
+        for (u2, v2), c2 in b.terms.items():
+            for x, tx in join_leaf_decompositions(u1, v1):
+                for y, ty in join_leaf_decompositions(u2, v2):
+                    w = pairing(a.genus, x, y)
+                    if w:
+                        out.add_join(tx, ty, Fraction(c1) * c2 * w)
+    return out
+
+
+def _eta_by_fractions(ts):
+    """{degree: eta terms} of a tree sum, rerooting term by term with one
+    Fraction product per rerooted tree."""
+    per = {}
+    for (u, v), c in ts.terms.items():
+        d = tree_size(u) + tree_size(v) - 2
+        ctx = get_context(ts.genus, d + 1)
+        by_color = per.setdefault(d, {})
+        for color, tree in join_leaf_decompositions(u, v):
+            t_add_into(by_color.setdefault(color, {}),
+                       ctx.from_tree(tree).terms, Fraction(c))
+    return {d: {(h, w): x for h, part in by_color.items()
+                for w, x in part.items()}
+            for d, by_color in per.items()}
+
+
+def _no_integral_fraction(terms):
+    return not any(type(c) is Fraction and c.denominator == 1
+                   for c in terms.values())
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(_rational_joins, _rational_joins)
+def test_gluing_and_eta_over_z_match_the_fraction_route(left, right):
+    a, b = _sum_of_joins(left), _sum_of_joins(right)
+    for got, pairing in ((a.bracket(b), omega_pairing),
+                         (a.contract(b), ell_pairing)):
+        assert got.terms == _glued_by_fractions(a, b, pairing).terms
+        assert _no_integral_fraction(got.terms)
+    images = a.eta_graded()
+    assert {d: dv.terms for d, dv in images.items()} == _eta_by_fractions(a)
+    assert all(_no_integral_fraction(dv.terms) for dv in images.values())
+
+
+def _rand_rational_lie(ctx, rng, terms):
+    out = {}
+    for _ in range(terms):
+        word = rng.choice(ctx.lyndon_basis(rng.randint(1, ctx.max_degree)))
+        out[word] = Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)),
+                             rng.choice(_DENOMINATORS))
+    return LieElement(ctx, out)
+
+
+def test_join_over_z_matches_the_fraction_route(rng):
+    ctx = get_context(3, 4)
+    for _ in range(200):
+        x = _rand_rational_lie(ctx, rng, rng.randint(0, 4))
+        y = _rand_rational_lie(ctx, rng, rng.randint(0, 4))
+        reference = TreeSum(3)
+        for cx, tx in x.rooted_terms():
+            for cy, ty in y.rooted_terms():
+                reference.add_join(tx, ty, Fraction(cx) * cy)
+        got = join(x, y, allow_degree0=True)
+        assert got.terms == reference.terms
+        assert _no_integral_fraction(got.terms)
