@@ -85,6 +85,35 @@ def lyndon_words(alphabet_size, max_len):
     return out
 
 
+def _lyndon_words_of_content(counts):
+    """The Lyndon words in which letter i occurs counts[i-1] times, lex order:
+    Sawada's fixed-content prenecklace recursion (2003) on the letters of
+    positive count.  A prenecklace whose longest Lyndon prefix has length p
+    extends by a letter >= the one p places back; it is Lyndon when p is its
+    full length."""
+    letters = [i + 1 for i, c in enumerate(counts) if c]
+    left = [c for c in counts if c]
+    n = sum(left)
+    word = [0] * n  # positions in letters
+
+    def extend(t, p):
+        if t == n:
+            if p == n:
+                yield tuple(letters[j] for j in word)
+            return
+        back = word[t - p]
+        for j in range(back, len(letters)):
+            if left[j]:
+                left[j] -= 1
+                word[t] = j
+                yield from extend(t + 1, p if j == back else t + 1)
+                left[j] += 1
+
+    if n:  # a Lyndon word starts with its least letter
+        left[0] -= 1
+        yield from extend(1, 1)
+
+
 def is_lyndon(word):
     n = len(word)
     if n == 0:

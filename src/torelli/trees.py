@@ -23,8 +23,8 @@ from functools import lru_cache
 
 from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
 from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
-                  _numerators, _over, get_context, lyndon_words, t_add_into,
-                  tree_size)
+                  _lyndon_words_of_content, _numerators, _over, get_context,
+                  t_add_into, tree_size)
 from .sp_mod2 import tree_mod2_bits
 
 
@@ -350,17 +350,19 @@ class DerivationElement(SparseCombination):
                              "use the degree-4 lattice membership instead")
         return self.bracket_map_image().is_zero()
 
+    def components(self):
+        """The terms split by multidegree in one pass: {md: {key: coeff}}."""
+        out = {}
+        for k, c in self.terms.items():
+            out.setdefault(_term_multidegree(self.genus, k), {})[k] = c
+        return out
+
     def multidegrees(self):
-        return sorted({_term_multidegree(self.genus, k) for k in self.terms})
+        return sorted(self.components())
 
     def component_vector(self, md):
-        basis = component_basis(self.genus, self.degree, md)
-        index = {k: i for i, k in enumerate(basis)}
-        vec = [0] * len(basis)
-        for k, c in self.terms.items():
-            if _term_multidegree(self.genus, k) == md:
-                vec[index[k]] = c
-        return vec
+        return _place(self.genus, self.degree, md,
+                      self.components().get(md, {}))
 
     def to_json(self):
         ctx = get_context(self.genus, 1)
@@ -391,31 +393,32 @@ def _term_multidegree(genus, key):
 
 @lru_cache(maxsize=None)
 def component_basis(genus, degree, md):
-    """Ordered basis of the md component of H tensor L_{degree+1}.
-
-    The Lyndon words are listed on the support of md only and carried back by
-    the increasing map k -> support[k-1], which keeps the lexicographic order,
-    so the cost does not depend on the genus.
-    """
+    """Ordered basis of the md component of H tensor L_{degree+1}: (h, w)
+    for each letter h of md in turn, w over the Lyndon words of content
+    md - e_h in lex order, as the fixed-content listing
+    `_lyndon_words_of_content` (Sawada, Theoret. Comput. Sci. 301, 2003)
+    yields them: nothing is filtered or sorted."""
     if len(md) != 2 * genus or sum(md) != degree + 2 or any(c < 0 for c in md):
         raise ValueError(f"invalid multidegree {md} for degree {degree}")
-    support = [i + 1 for i, c in enumerate(md) if c]
-    out = []
-    for short in lyndon_words(len(support), degree + 1):
-        if len(short) != degree + 1:
-            continue
-        # rest = md - content(w) sums to 1: keep w when it stays >= 0, so
-        # that it is one unit vector e_h
-        w = tuple(support[k - 1] for k in short)
-        rest = list(md)
-        for letter in w:
-            if not rest[letter - 1]:
-                break
-            rest[letter - 1] -= 1
-        else:
-            out.append((rest.index(1) + 1, w))
-    out.sort(key=lambda pair: pair[0])  # stable: Lyndon order within each h
-    return tuple(out)
+    return tuple((h, w) for h, c in enumerate(md, 1) if c
+                 for w in _lyndon_words_of_content(md[:h - 1] + (c - 1,)
+                                                   + md[h:]))
+
+
+@lru_cache(maxsize=None)
+def _component_index(genus, degree, md):
+    return {k: i for i, k in enumerate(component_basis(genus, degree, md))}
+
+
+def _place(genus, degree, md, part):
+    """The terms part, all of multidegree md, as a dense vector on its basis."""
+    index = _component_index(genus, degree, md)
+    vec = [0] * len(index)
+    for k, c in part.items():
+        if k not in index:
+            raise ValueError(f"term {k} lies outside component {md}")
+        vec[index[k]] = c
+    return vec
 
 
 # --- integer tree lattices --------------------------------------------------
@@ -489,10 +492,10 @@ def half_symmetric_generators(genus, md):
 
 
 def _eta_int_vector(ts, md):
-    vec = ts.eta().component_vector(md)
-    if any(v.denominator != 1 for v in vec):
+    dv = ts.eta()  # an int wherever integral
+    if not dv.is_integral():
         raise ValueError(f"eta image in component {md} is not integral")
-    return tuple(v.numerator for v in vec)
+    return tuple(_place(ts.genus, dv.degree, md, dv.terms))
 
 
 @lru_cache(maxsize=None)
@@ -536,10 +539,16 @@ def mod1_class_is_zero(v):
     for membership in the integer lattice.  Returns (verdict, failing
     multidegrees).
     """
-    failing = tuple(md for md in v.multidegrees()
-                    if not tree_lattice(v.genus, v.degree, md).contains(
-                        v.component_vector(md)))
+    failing = tuple(md for md, vec in _component_vectors(v)
+                    if not tree_lattice(v.genus, v.degree, md).contains(vec))
     return (not failing), failing
+
+
+def _component_vectors(v):
+    """(md, component vector) over the sorted multidegrees of v, split once."""
+    parts = v.components()
+    for md in sorted(parts):
+        yield md, _place(v.genus, v.degree, md, parts[md])
 
 
 def congruent_mod_trees(v, w):
@@ -566,9 +575,9 @@ def varpi(v):
         return None
     g = v.genus
     out = 0
-    for md in v.multidegrees():
+    for md, vec in _component_vectors(v):
         rows, half_trees = degree4_presentation(g, md)
-        target = [int(c) for c in v.component_vector(md)]
+        target = [int(c) for c in vec]
         combo = solve_integer_combination(rows, target, width=len(target))
         if combo is None:
             return None

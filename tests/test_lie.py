@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from conftest import SEED, rand_lie, run_python
 from torelli.lie import (ContextMismatch, DegreeCapError, LieContext,
                          LieElement, _bracket_words, _expand_tree, _expansion,
-                         _numerators, _over, decompose, get_context,
+                         _lyndon_words_of_content, _numerators, _over,
+                         decompose, get_context,
                          ideal_omega_component, is_lyndon, lbar_rank,
                          lie_terms, lyndon_words, standard_bracketing,
                          t_add_into, t_exp, t_log, t_mul, witt_rank)
@@ -28,10 +30,34 @@ def test_lyndon_enumeration_is_lex_sorted_and_lyndon():
         assert list(words) == sorted(words)
         assert all(is_lyndon(w) for w in words)
         # independent count: filter all words of length d by the Lyndon test
-        from itertools import product
         count = sum(1 for w in product(range(1, 2 * g + 1), repeat=d)
                     if is_lyndon(w))
         assert len(words) == count == witt_rank(2 * g, d)
+
+
+def test_lyndon_words_of_content_against_duval():
+    # every content over k <= 4 letters of total length n <= 6: the
+    # fixed-content listing is the content filter of Duval's listing, in order
+    for k in range(1, 5):
+        words = lyndon_words(k, 6)
+        for counts in product(range(7), repeat=k):
+            n = sum(counts)
+            if n > 6:
+                continue
+            expected = [w for w in words if len(w) == n and all(
+                w.count(i + 1) == c for i, c in enumerate(counts))]
+            assert list(_lyndon_words_of_content(counts)) == expected, counts
+
+
+def test_lyndon_words_of_content_examples():
+    # zero counts between the letters are skipped, not listed
+    assert list(_lyndon_words_of_content((1, 0, 2, 0, 1))) == [
+        (1, 3, 3, 5), (1, 3, 5, 3), (1, 5, 3, 3)]
+    assert list(_lyndon_words_of_content((0, 2, 0, 1))) == [(2, 2, 4)]
+    # one letter: a Lyndon word only once, never repeated
+    assert list(_lyndon_words_of_content((0, 0, 1))) == [(3,)]
+    assert list(_lyndon_words_of_content((0, 3))) == []
+    assert list(_lyndon_words_of_content((0, 0))) == []
 
 
 def test_standard_bracketing_examples():

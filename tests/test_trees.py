@@ -13,8 +13,9 @@ from torelli.lie import (ContextMismatch, LieElement, get_context, t_add_into,
                          tree_size, witt_rank)
 from torelli.mcg import tr3
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
-from torelli.trees import (DerivationElement, TreeSum, all_multidegrees,
-                           basis_colored_trees, canonical_tree, component_basis,
+from torelli.trees import (DerivationElement, TreeSum, _eta_int_vector,
+                           all_multidegrees, basis_colored_trees,
+                           canonical_tree, component_basis,
                            degree4_presentation, diagram_rows, ell_pairing,
                            half_symmetric_generators, join,
                            join_leaf_decompositions, lcst_component_diagonal,
@@ -216,6 +217,12 @@ def test_component_basis_matches_per_letter_filter(rng):
             for _ in range(degree + 2):
                 md[rng.randrange(2 * genus)] += 1
             cases.append((genus, degree, tuple(md)))
+    # repeated letters, genus 1 at degree 4, and a genus-30 md whose support
+    # spans a1 and b30
+    b30 = [0] * 60
+    b30[0], b30[14], b30[59] = 1, 1, 2
+    cases += [(3, 4, (2, 2, 2, 0, 0, 0)), (2, 4, (3, 0, 2, 1)), (1, 4, (3, 3)),
+              (1, 4, (4, 2)), (30, 2, tuple(b30))]
     for genus, degree, md in cases:
         assert (component_basis(genus, degree, md)
                 == _component_basis_by_letter(genus, degree, md)), md
@@ -626,6 +633,58 @@ def test_tree_sum_linear_ops_match_join_by_join(left, right):
     for sign, combo in ((1, a + b), (-1, a - b)):
         rebuilt = _sum_of_joins(left + [(u, v, sign * c) for u, v, c in right])
         assert combo.terms == rebuilt.terms
+
+
+def _multidegree(genus, key):
+    h, w = key
+    return tuple((h == i) + w.count(i) for i in range(1, 2 * genus + 1))
+
+
+def _component_vector_by_scan(dv, md):
+    """component_vector as one scan of every term against md."""
+    basis = component_basis(dv.genus, dv.degree, md)
+    vec = [0] * len(basis)
+    for k, c in dv.terms.items():
+        if _multidegree(dv.genus, k) == md:
+            vec[basis.index(k)] = c
+    return vec
+
+
+@seed(SEED)
+@settings(max_examples=100, deadline=None)
+@given(_joins)
+def test_components_split_the_terms_by_multidegree(joins):
+    joins = [(u, v, c) for u, v, c in joins
+             if not (isinstance(u, int) and isinstance(v, int))]
+    for d, dv in _sum_of_joins(joins).eta_graded().items():
+        parts = dv.components()
+        assert all(parts.values())
+        assert {k: c for part in parts.values() for k, c in part.items()} \
+            == dv.terms
+        assert sum(map(len, parts.values())) == len(dv.terms)
+        assert all(_multidegree(2, k) == md
+                   for md, part in parts.items() for k in part)
+        assert dv.multidegrees() == sorted(parts)
+        for md in parts:
+            assert dv.component_vector(md) == _component_vector_by_scan(dv, md)
+        # the trees use the letters 1..3 only, so letter 4 is off the support
+        outside = (1, 1, 0, d)
+        assert dv.component_vector(outside) \
+            == [0] * len(component_basis(2, d, outside)) != []
+        for bad in ((1, 1, d), (1, 1, 0, d + 1), (-1, 2, 1, d)):
+            with pytest.raises(ValueError):
+                dv.component_vector(bad)
+
+
+def test_eta_int_vector_refuses_fractions_and_foreign_terms():
+    md = (2, 2, 1, 1)
+    (_c, ts), *_ = basis_colored_trees(2, md)
+    assert _eta_int_vector(ts, md) == diagram_rows(2, md)[0]
+    with pytest.raises(ValueError, match="not integral"):
+        _eta_int_vector(ts * Fraction(1, 2), md)
+    # the caterpillar has content md, so a same-degree md misses its terms
+    with pytest.raises(ValueError, match="outside"):
+        _eta_int_vector(ts, (2, 1, 1, 2))
 
 
 # --- the integer gluing kernels against the Fraction route -------------------
