@@ -7,22 +7,19 @@ words (tuples of letters) to exact rationals, each an `int` or a `Fraction`.
 Integer numerators over one shared denominator are formed by `_numerators`
 and divided back by `_over`, once per coefficient.  The bracket of two Lyndon
 monomials is rewritten in the basis over Z on the standard factorization of
-the smaller word (Reutenauer, Free Lie Algebras, 1993), without the tensor
-algebra.  Products that need the associative structure (the truncated BCH
-product, and `theta` in `words`) go through the truncated tensor algebra on
-integer numerators over one denominator: a Lyndon monomial expands to the
-tensor polynomial of its standard bracketing, and a tensor polynomial that
-happens to be a Lie element is decomposed back by triangularity (the smallest
-word of a homogeneous Lie polynomial is Lyndon and carries the coefficient of
-its bracketing, whose expansion has coefficient 1 on that word, so
-decomposing never divides).
+the smaller word (Reutenauer, Free Lie Algebras, 1993).  Everything else is
+built from brackets too: the BCH product is a series of bracket trees on two
+letters (`bch_series`, from Varadarajan's recursion), and `eval_series`
+evaluates such a series on any two values that have a bracket, Lie elements
+here and the graded tree values of `mcg`.  There is no tensor algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from itertools import product
+from math import lcm
 
 from .exact_linalg import rational_rank
 
@@ -149,118 +146,14 @@ def tree_size(tree):
     return 1 if isinstance(tree, int) else tree_size(tree[0]) + tree_size(tree[1])
 
 
-# --- truncated tensor algebra (dict word-tuple -> coefficient) --------------
-
 def t_add_into(acc, poly, scale=1):
+    """Add scale * poly into the sparse map acc, dropping the zeros."""
     for w, c in poly.items():
         v = acc.get(w, 0) + c * scale
         if v:
             acc[w] = v
         else:
             acc.pop(w, None)
-
-
-def t_mul(p, q, cap):
-    by_length = {}
-    for w2, c2 in q.items():
-        by_length.setdefault(len(w2), []).append((w2, c2))
-    lengths = sorted(by_length)
-    out = {}
-    for w1, c1 in p.items():
-        room = cap - len(w1)
-        for n in lengths:
-            if n > room:
-                break
-            for w2, c2 in by_length[n]:
-                w = w1 + w2
-                v = out.get(w)
-                if v is None:
-                    out[w] = c1 * c2
-                elif v := v + c1 * c2:
-                    out[w] = v
-                else:
-                    del out[w]
-    return out
-
-
-def _series(p, den, cap, weight):
-    """sum_k weight(k) (p / den)^k over the nonzero truncated powers of p, with
-    weight(k) = (numerator, denominator), as (integer numerators, denominator)
-    in lowest terms: one gcd pass over one common denominator."""
-    powers = [{(): 1}]
-    while len(powers) <= cap and (power := t_mul(powers[-1], p, cap)):
-        powers.append(power)
-    weights = [weight(k) for k in range(len(powers))]
-    total = den ** (len(powers) - 1) * lcm(*(b for _a, b in weights))
-    out = {}
-    for k, (power, (a, b)) in enumerate(zip(powers, weights)):
-        t_add_into(out, power, a * (total // (den ** k * b)))
-    g = gcd(total, *out.values())
-    return {w: c // g for w, c in out.items()}, total // g
-
-
-def t_exp(p, den, cap):
-    """exp(p / den) for an integer tensor p with zero constant term, truncated,
-    as (integer numerators, denominator) in lowest terms."""
-    if () in p:
-        raise ValueError("exp needs a zero constant term")
-    return _series(p, den, cap, lambda k: (1, factorial(k)))
-
-
-def t_log(p, den, cap):
-    """log(p / den) for an integer tensor p with constant term den, truncated,
-    as (integer numerators, denominator) in lowest terms."""
-    u = dict(p)
-    if u.pop((), None) != den:
-        raise ValueError("log needs constant term 1")
-    return _series(u, den, cap,
-                   lambda k: ((-1) ** (k + 1), k) if k else (0, 1))
-
-
-# --- structure constants of the free Lie ring --------------------------------
-# They depend on neither the genus nor the class, so each is cached once per
-# process and shared by every context: callers must not mutate them.
-
-def _expand_tree(tree):
-    if isinstance(tree, int):
-        return {(tree,): 1}
-    left = _expand_tree(tree[0])
-    right = _expand_tree(tree[1])
-    n = tree_size(tree)
-    out = t_mul(left, right, n)
-    t_add_into(out, t_mul(right, left, n), -1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _expansion(word):
-    """Tensor expansion of the standard bracketing of a Lyndon word: what
-    `to_tensor` (for BCH and `theta`) and `decompose` read; brackets never do."""
-    return _expand_tree(standard_bracketing(word))
-
-
-def decompose(poly):
-    """Write a tensor polynomial that is a Lie element in the Lyndon basis.
-
-    Triangular elimination per degree: repeatedly strip the lexicographically
-    smallest word, which must be Lyndon.  Raises if the input is not a Lie
-    element.
-    """
-    by_degree = {}
-    for w, c in poly.items():
-        by_degree.setdefault(len(w), {})[w] = c
-    terms = {}
-    for d, comp in sorted(by_degree.items()):
-        if d == 0:
-            raise ValueError("degree-0 part is not a Lie element")
-        while comp:
-            w = min(comp)
-            if not is_lyndon(w):
-                raise ValueError(f"not a Lie element: stray word {w}")
-            c = comp[w]
-            terms[w] = c
-            t_add_into(comp, _expansion(w), -c)
-    return terms
 
 
 def _numerators(terms):
@@ -280,12 +173,9 @@ def _over(nums, den):
             for k, c in nums.items()}
 
 
-def lie_terms(tensor):
-    """The Lyndon-basis terms of a Lie element given as (integer numerators,
-    denominator): decomposed over Z, then divided once per term."""
-    num, den = tensor
-    return _over(decompose(num), den)
-
+# --- structure constants of the free Lie ring --------------------------------
+# They depend on neither the genus nor the class, so each is cached once per
+# process and shared by every context: callers must not mutate them.
 
 def _bracket_into(out, left, right, cap):
     """Add sum c1 c2 [w1, w2] over the terms of two Lyndon-basis maps into out,
@@ -320,6 +210,79 @@ def _bracket_words(w1, w2):
     _bracket_into(out, {u: 1}, _bracket_words(v, w2), cap)
     _bracket_into(out, _bracket_words(u, w2), {v: 1}, cap)
     return dict(sorted(out.items()))
+
+
+# --- two-letter series: BCH and its evaluation ------------------------------
+
+# B_2p / (2p)! for the Bernoulli numbers B_2 = 1/6 and B_4 = -1/30: the
+# recursion below reads B_2p only for 2p < N, so these serve every class
+# N <= MAX_CLASS.
+_BERNOULLI_WEIGHTS = {2: Fraction(1, 12), 4: Fraction(-1, 720)}
+
+
+@lru_cache(maxsize=None)
+def bch_series(cap):
+    """log(e^x e^y) through degree cap on the letters x = 1, y = 2, as
+    (standard bracketing, coefficient) pairs in word order.
+
+    Varadarajan's bracket-only recursion (Lie Groups, Lie Algebras, and Their
+    Representations, 1984, 2.15), which Casas and Murua use in the Lyndon
+    basis (J. Math. Phys. 50, 2009): Z_1 = x + y and
+      (n+1) Z_{n+1} = 1/2 [x - y, Z_n]
+          + sum_{p >= 1} B_2p/(2p)! sum_{k_1+...+k_2p = n}
+                [Z_k1, [Z_k2, ..., [Z_k2p, x + y]...]],
+    the k_i positive, and log(e^x e^y) = Z_1 + ... + Z_cap.
+    """
+    ctx = get_context(1, cap)
+    x, y = ctx.generator(1), ctx.generator(2)
+    z = [None, x + y]
+    for n in range(1, cap):
+        step = (x - y).bracket(z[n]) * Fraction(1, 2)
+        for parts, weight in _BERNOULLI_WEIGHTS.items():
+            for ks in product(range(1, n + 1), repeat=parts):
+                if sum(ks) == n:
+                    nested = z[1]
+                    for k in reversed(ks):
+                        nested = z[k].bracket(nested)
+                    step = step + nested * weight
+        z.append(step * Fraction(1, n + 1))
+    terms = _over(*_numerators(sum(z[2:], z[1]).terms))
+    return tuple((standard_bracketing(w), c) for w, c in sorted(terms.items()))
+
+
+def eval_series(series, x, y, bracket):
+    """A two-letter series of (tree, coefficient) pairs on the values x
+    (letter 1) and y (letter 2), as (tree, value, coefficient) triples.  The
+    trees share sub-trees, and bracket(u, v) is called once per distinct
+    sub-tree."""
+    values = {1: x, 2: y}
+
+    def ev(tree):
+        v = values.get(tree)
+        if v is None:
+            v = values[tree] = bracket(ev(tree[0]), ev(tree[1]))
+        return v
+
+    return [(tree, ev(tree), c) for tree, c in series]
+
+
+def _bracket_by_length(left, right, cap):
+    """[left, right] of two integer Lyndon-basis maps through length cap.  The
+    terms of right are grouped by length, so the pairs that pass cap are
+    skipped a whole length at a time."""
+    by_length = {}
+    for w, c in right.items():
+        by_length.setdefault(len(w), []).append((w, c))
+    lengths = sorted(by_length)
+    out = {}
+    for w1, c1 in left.items():
+        room = cap - len(w1)
+        for n in lengths:
+            if n > room:
+                break
+            for w2, c2 in by_length[n]:
+                t_add_into(out, _bracket_words(w1, w2), c1 * c2)
+    return out
 
 
 class LieContext:
@@ -470,11 +433,11 @@ class SparseCombination:
 class LieElement(SparseCombination):
     """Sparse exact-rational combination of Lyndon basis monomials.
 
-    A coefficient is an `int` or a `Fraction`.  The terms that `lie_terms`
-    returns, and so those of `bch` and `theta`, are an `int` wherever
-    integral; `+`, `-`, a scalar `*` and `bracket` with `Fraction`
-    coefficients may leave a `Fraction(n, 1)`, which compares, hashes, prints
-    and serializes like `n`."""
+    A coefficient is an `int` or a `Fraction`.  The terms that `bch`
+    returns, and so those of `theta`, are an `int` wherever integral; `+`,
+    `-`, a scalar `*` and `bracket` with `Fraction` coefficients may leave a
+    `Fraction(n, 1)`, which compares, hashes, prints and serializes like
+    `n`."""
 
     __slots__ = ("ctx", "terms")
 
@@ -510,25 +473,28 @@ class LieElement(SparseCombination):
         _bracket_into(out, self.terms, other.terms, self.ctx.max_degree)
         return LieElement(self.ctx, out)
 
-    def to_tensor(self):
-        """The tensor expansion as (integer numerators, denominator), the
-        denominator being the lcm of the coefficients' denominators."""
-        num, den = _numerators(self.terms)
-        out = {}
-        for w, c in num.items():
-            t_add_into(out, _expansion(w), c)
-        return out, den
-
     def bch(self, other):
         """Baker-Campbell-Hausdorff product log(exp(self) exp(other)).
 
-        Computed in the truncated tensor algebra, then decomposed back, so the
-        coefficients come from the series themselves rather than a table.
+        `bch_series` evaluated on integer numerators over one denominator d:
+        the integer value of a tree with k leaves stands for itself over d^k,
+        and each output coefficient is divided once.
         """
         self._check(other)
         cap = self.ctx.max_degree
-        (p, dp), (q, dq) = (t_exp(*x.to_tensor(), cap) for x in (self, other))
-        return self._like(lie_terms(t_log(t_mul(p, q, cap), dp * dq, cap)))
+        (nx, dx), (ny, dy) = _numerators(self.terms), _numerators(other.terms)
+        den = lcm(dx, dy)
+        terms = eval_series(
+            bch_series(cap),
+            {w: c * (den // dx) for w, c in nx.items()},
+            {w: c * (den // dy) for w, c in ny.items()},
+            lambda u, v: _bracket_by_length(u, v, cap))
+        total = den ** cap * lcm(*(c.denominator for _t, _v, c in terms))
+        out = {}
+        for tree, value, c in terms:
+            t_add_into(out, value, c.numerator
+                       * (total // (c.denominator * den ** tree_size(tree))))
+        return self._like(_over(out, total))
 
     def rooted_terms(self):
         """The element as a list of (coefficient, bracketing tree) pairs.

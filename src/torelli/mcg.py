@@ -11,11 +11,14 @@ so requesting an uncomputed degree raises WindowUnderflow instead of silently
 returning garbage.
 
 Every group operation on values is one Lyndon-word series on two letters,
-whose coefficients are not transcribed from anywhere: they are extracted once
-from the truncated tensor-algebra BCH on two free generators.  Since every
-value here starts in degree >= 1 and the calculus truncates at degree 4,
-bracket words of length > 4 cannot contribute, so the free class-4 identities
-are exact.
+evaluated by `lie.eval_series`.  Its coefficients are not transcribed from
+anywhere: BCH is `lie.bch_series`, built by Varadarajan's bracket recursion,
+and the commutator and conjugation series are BCH products of the free
+letters +-x, +-y.  Since every value here starts in degree >= 1 and the
+calculus truncates at degree 4, bracket words of length > 4 cannot
+contribute, so the free class-4 identities are exact.  Morita's degree-3
+trace is read off the standard bracketings of the derivation's values, with
+no tensor expansion.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .exact_linalg import rational_rank
-from .lie import (ContextMismatch, DegreeCapError, LieElement, get_context,
-                  standard_bracketing, t_add_into)
+from .lie import (ContextMismatch, DegreeCapError, LieElement, eval_series,
+                  get_context, standard_bracketing, t_add_into)
 from .sp_mod2 import project_l3_to_a, tree_mod2_bits
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees, join,
                     mod1_class_is_zero, varpi)
@@ -140,7 +143,7 @@ class GradedValue:
 def _series_words(op):
     """The series of op on two free letters x = 1, y = 2 in the Lyndon basis,
     as (standard bracketing, coefficient) pairs: the log of a product of
-    exponentials, computed by BCH."""
+    exponentials, folded by BCH."""
     ctx = get_context(1, CAP)
     x, y = ctx.generator(1), ctx.generator(2)
     factors = {"bch": (x, y),                   # log(e^x e^y)
@@ -151,20 +154,12 @@ def _series_words(op):
 
 
 def _series(op, x, y):
-    """The series of op evaluated on graded values x, y.  The bracketings of
-    the Lyndon words share sub-trees, and each distinct sub-tree is
-    bracketed once."""
-    values = {1: x, 2: y}
-
-    def ev(tree):
-        v = values.get(tree)
-        if v is None:
-            v = values[tree] = ev(tree[0]).bracket(ev(tree[1]))
-        return v
-
+    """The series of op evaluated on graded values x, y, each distinct
+    sub-tree of its bracketings bracketed once."""
     out = GradedValue.zero(x.genus)
-    for tree, c in _series_words(op):
-        out = out + ev(tree) * c
+    for _tree, value, c in eval_series(_series_words(op), x, y,
+                                       GradedValue.bracket):
+        out = out + value * c
     return out
 
 
@@ -448,6 +443,21 @@ def casson_values(table, factor):
 
 # --- the degree-3 trace -----------------------------------------------------
 
+def _contraction(z, tree):
+    """The words z x y ... of the tensor expansion of a bracket tree, as the
+    commutative monomials x y ... (sorted letter tuples) -> int.  With ab(t)
+    the letter of a leaf and 0 for a bracket (the abelianization),
+    f_z(x) = [x = z] and f_z([u, v]) = f_z(u) ab(v) - f_z(v) ab(u)."""
+    if isinstance(tree, int):
+        return {(): 1} if tree == z else {}
+    out = {}
+    for first, second, sign in ((tree[0], tree[1], 1), (tree[1], tree[0], -1)):
+        if isinstance(second, int):
+            for mono, c in _contraction(z, first).items():
+                t_add_into(out, {tuple(sorted(mono + (second,))): sign * c})
+    return out
+
+
 def tr3(ts):
     """Morita's degree-3 trace into the cubic symmetric power: the
     contraction of eta(ts) in H tensor L_4.  Each letter z takes the tensor
@@ -462,11 +472,9 @@ def tr3(ts):
     dv = dvs[3]
     out = {}
     for z in range(1, 2 * ts.genus + 1):
-        num, den = dv.value_on_letter(z).to_tensor()
-        for word, c in num.items():
-            if word[0] == z:
-                t_add_into(out, {tuple(sorted(word[1:])): Fraction(c, den)})
-    return out
+        for w, c in dv.value_on_letter(z).terms.items():
+            t_add_into(out, _contraction(z, standard_bracketing(w)), c)
+    return {mono: Fraction(c) for mono, c in out.items()}
 
 
 # --- the explicit element phi = [i, k] ---------------------------------------

@@ -3,10 +3,10 @@ their images under the symplectic expansion into the nilpotent free Lie
 algebra.
 
 The expansion table stores, per generator, the explicit Lie series through
-degree 4; a word is evaluated as one group-like product: the logarithm of the
-product of the per-letter exponentials in the truncated tensor algebra.  The
-boundary word of the surface must map to the symplectic element omega, which
-is the calibration check for the whole table.
+degree 4.  The expansion is group-like, so a word maps to the BCH product of
+its letter values, which `theta` takes as a balanced fold of `bch` in the
+Lyndon basis.  The boundary word of the surface must map to the symplectic
+element omega, which is the calibration check for the whole table.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import re
 from fractions import Fraction as Fr
 from functools import lru_cache
 
-from .lie import (DegreeCapError, LieContext, LieElement, get_context,
-                  lie_terms, t_exp, t_log, t_mul)
+from .lie import DegreeCapError, LieContext, get_context
 
 # A letter is (kind, index, sign) with kind "a"/"b", index 1..g, sign +-1.
 _TOKEN = re.compile(r"([ab])([1-9][0-9]*)([+-])")
@@ -124,15 +123,14 @@ class ExpansionTable:
                   + 1/4 sum_{j<i} [om_j, om_i]
 
     Degree 5 and beyond is not specified, so tables with N >= 5 are refused.
-    The table is immutable and filled on demand: a letter value, the exp of a
-    signed letter value and theta of a word are each built on first use.
+    The table is immutable and filled on demand: a letter value and theta of a
+    word are each built on first use.
     """
 
     def __init__(self, ctx: LieContext):
         _check_expansion_degree(ctx.max_degree)
         self.ctx = ctx
         self._value = {}  # (kind, index) -> letter value
-        self._exp = {}    # (kind, index, sign) -> exp of the signed letter value
         self._theta = {}  # word letters -> theta(word)
 
     def _series(self, kind, i):
@@ -161,21 +159,11 @@ class ExpansionTable:
             value = self._value[kind, index] = self._series(kind, index)
         return value if sign > 0 else -value
 
-    def letter_exp(self, kind, index, sign):
-        """exp of the signed letter value in the truncated tensor algebra, as
-        (integer numerators, denominator)."""
-        value = self._exp.get((kind, index, sign))
-        if value is None:
-            value = self._exp[kind, index, sign] = t_exp(
-                *self.letter_value(kind, index, sign).to_tensor(),
-                self.ctx.max_degree)
-        return value
-
 
 def theta(word, table):
     """Value of the symplectic expansion on a group word: the group-like
-    product log(exp theta(l_1) ... exp theta(l_n)), which equals the
-    left-to-right BCH fold of the letter values.
+    product log(exp theta(l_1) ... exp theta(l_n)), taken as a balanced fold
+    of BCH products, adjacent values paired level by level.
 
     The value is memoized on the table per word and shared between callers,
     who must not mutate it.
@@ -183,14 +171,11 @@ def theta(word, table):
     key = word.letters
     value = table._theta.get(key)
     if value is None:
-        cap = table.ctx.max_degree
-        prod, den = {(): 1}, 1
-        for letter in key:
-            factor, factor_den = table.letter_exp(*letter)
-            prod = t_mul(prod, factor, cap)
-            den *= factor_den
-        value = table._theta[key] = LieElement(
-            table.ctx, lie_terms(t_log(prod, den, cap)))
+        values = [table.letter_value(*letter) for letter in key]
+        while len(values) > 1:  # exact: the truncated BCH is associative
+            values = ([x.bch(y) for x, y in zip(values[::2], values[1::2])]
+                      + values[len(values) & ~1:])
+        value = table._theta[key] = values[0] if values else table.ctx.zero()
     return value
 
 

@@ -432,8 +432,8 @@ def test_out_of_range_genus_exit3(argv):
     ["R", _R_SPEC, "--genus", "3", "--degree", "4"],
 ], ids=["theta", "symplectic", "theorem-b", "compose", "R"])
 def test_bch_under_optimize(argv):
-    # the constant-term checks of t_exp/t_log are explicit, so python -O
-    # computes the same BCH products
+    # BCH, theta and the graded group operations rest on no assert, so
+    # python -O computes the same products
     plain, optimized = _cli_subprocess(*argv), _cli_subprocess(*argv, optimize=True)
     assert plain.returncode == 0, plain.stderr
     assert (optimized.returncode, optimized.stdout) == (0, plain.stdout)

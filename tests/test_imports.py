@@ -1,7 +1,8 @@
 """Dead-import check: every module-level import of the package modules and
 the tests is read somewhere in its file.  The package `__init__` is left out
 because its imports are the public names it re-exports.  Also: every layer
-function that the benchmark's tracer wraps by name still exists."""
+function that the benchmark's tracer wraps by name still exists, and the
+engine keeps no tensor algebra (that lives in `tests/tensor_oracle.py`)."""
 
 import ast
 import importlib
@@ -49,3 +50,24 @@ def test_tracer_targets_resolve(monkeypatch):
     for _group, owner, names, _key in tracer.TARGETS:
         for name in names:
             assert callable(getattr(owner, name, None)), (owner, name)
+
+
+TENSOR_NAMES = {"t_mul", "t_exp", "t_log", "decompose", "lie_terms",
+                "to_tensor", "letter_exp", "_expansion", "_expand_tree"}
+
+
+def test_engine_has_no_tensor_layer():
+    # the tensor algebra is the independent oracle of the engine's BCH,
+    # theta and trace, so no engine module may define or import it
+    for path in sorted((ROOT / "src" / "torelli").glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(n.split(".")[-1] for a in node.names
+                             for n in (a.name, a.asname) if n)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names.add(node.id if isinstance(node, ast.Name)
+                          else node.attr)
+        assert not names & TENSOR_NAMES, (path.name, names & TENSOR_NAMES)

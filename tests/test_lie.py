@@ -4,15 +4,18 @@ from itertools import product
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import SEED, rand_lie, run_python
-from torelli.lie import (ContextMismatch, DegreeCapError, LieContext,
-                         LieElement, _bracket_words, _expand_tree, _expansion,
+from tensor_oracle import (_expand_tree, decompose, lie_terms, t_exp, t_log,
+                           t_mul, to_tensor)
+from torelli.lie import (MAX_CLASS, ContextMismatch, DegreeCapError,
+                         LieContext, LieElement, _bracket_words,
                          _lyndon_words_of_content, _numerators, _over,
-                         decompose, get_context,
-                         ideal_omega_component, is_lyndon, lbar_rank,
-                         lie_terms, lyndon_words, standard_bracketing,
-                         t_add_into, t_exp, t_log, t_mul, witt_rank)
+                         bch_series, get_context, ideal_omega_component,
+                         is_lyndon, lbar_rank, lyndon_words,
+                         standard_bracketing, t_add_into, witt_rank)
 from torelli.trees import DerivationElement, TreeSum, join
 from torelli.words import get_table, parse_word, theta
 
@@ -116,7 +119,7 @@ def test_bracket_jacobi_rewrite_against_tensor_oracle():
 
     t1, t2, t3 = {(1,): Fraction(1)}, {(2,): Fraction(1)}, {(3,): Fraction(1)}
     oracle = tensor_comm(tensor_comm(t1, t2), t3)
-    assert lhs.to_tensor() == (oracle, 1)
+    assert to_tensor(lhs) == (oracle, 1)
 
 
 @pytest.mark.parametrize("letters", [8, 10])
@@ -136,45 +139,6 @@ def test_bracket_words_against_tensor_route(letters):
         assert _bracket_words(w1, w2) == decompose(comm), (w1, w2)
         assert _bracket_words(w2, w1) == \
             {w: -c for w, c in _bracket_words(w1, w2).items()}, (w1, w2)
-
-
-def _rand_tree(rng, size, letters):
-    if size == 1:
-        return rng.randint(1, letters)
-    left = rng.randint(1, size - 1)
-    return (_rand_tree(rng, left, letters),
-            _rand_tree(rng, size - left, letters))
-
-
-def test_brackets_stay_off_the_tensor_layer():
-    # evaluating trees and the omega ideal only brackets Lyndon words, which
-    # never expands a word into the tensor algebra
-    _expansion.cache_clear()
-    _bracket_words.cache_clear()
-    rng = random.Random(SEED)
-    ctx = LieContext(3, 5)
-    for size in range(2, 6):
-        for _ in range(50):
-            ctx.from_tree(_rand_tree(rng, size, ctx.letters))
-    assert ideal_omega_component(ctx, 4)
-    assert _bracket_words.cache_info().currsize
-    assert _expansion.cache_info().currsize == 0
-
-
-def test_brackets_stay_off_the_tensor_layer_under_optimize():
-    code = (
-        "from torelli.lie import (LieContext, _expansion, ideal_omega_component,\n"
-        "                         lyndon_words, standard_bracketing)\n"
-        "ctx = LieContext(3, 5)\n"
-        "for w in lyndon_words(ctx.letters, 5):\n"
-        "    ctx.from_tree(standard_bracketing(w))\n"
-        "for w in lyndon_words(ctx.letters, 3):\n"
-        "    ctx.from_tree((standard_bracketing(w), (1, ctx.letters)))\n"
-        "ideal_omega_component(ctx, 4)\n"
-        "print(_expansion.cache_info().currsize)\n")
-    run = run_python("-c", code)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "0\n"
 
 
 def test_t_mul_against_pairwise_product():
@@ -311,7 +275,7 @@ def test_tensor_round_trip_through_lie_terms():
                 terms[word] = Fraction(rng.choice((-7, -2, -1, 1, 3, 4)),
                                        rng.choice(dens))
             x = LieElement(ctx, terms)
-            num, den = x.to_tensor()
+            num, den = to_tensor(x)
             assert all(type(c) is int for c in num.values())
             if dens == (1,):
                 assert den == 1
@@ -322,8 +286,8 @@ def test_tensor_round_trip_through_lie_terms():
 
 
 def test_numerator_kernels_leave_no_integral_fraction():
-    # lie_terms, join, bracket/contract and eta_graded divide once per output
-    # coefficient, so what comes out integral is an int
+    # bch (and so theta), join, bracket/contract and eta_graded divide once
+    # per output coefficient, so what comes out integral is an int
     def integral_fractions(terms):
         return [c for c in terms.values()
                 if type(c) is Fraction and c.denominator == 1]
@@ -331,6 +295,11 @@ def test_numerator_kernels_leave_no_integral_fraction():
     value = theta(parse_word("a1+b2-a1-b1+a2+"), get_table(3, 4))
     assert len(value.terms) == 67 and not integral_fractions(value.terms)
     ctx = get_context(3, 3)
+    x = ctx.gen_a(1) * Fraction(2) + ctx.gen_a(2) * Fraction(1, 3)
+    z = x.bch(ctx.gen_b(1) * Fraction(3))
+    assert [type(z.terms[w]) for w in ((1, 4), (1, 1, 4), (2, 4))] == \
+        [int, int, Fraction]
+    assert not integral_fractions(z.terms)
     half = ctx.gen_a(1) * Fraction(1, 2)
     double = ctx.gen_b(1).bracket(ctx.gen_a(2)) * Fraction(2)
     joined = join(half, double)
@@ -431,8 +400,8 @@ def test_integer_tensor_layer_against_fraction_series(genus, cap):
     rng = random.Random(SEED + 10 * genus + cap)
     xs = _oracle_inputs(rng, genus, cap)
     for x in xs:
-        tensor = _rational(x.to_tensor())
-        exp_x = t_exp(*x.to_tensor(), cap)
+        tensor = _rational(to_tensor(x))
+        exp_x = t_exp(*to_tensor(x), cap)
         assert _lowest(exp_x) == _oracle_exp(tensor, cap)
         log_exp_x = t_log(*exp_x, cap)
         assert _lowest(log_exp_x) == _oracle_log(_oracle_exp(tensor, cap), cap)
@@ -440,12 +409,54 @@ def test_integer_tensor_layer_against_fraction_series(genus, cap):
         assert _lowest(log_exp_x) == tensor
         assert lie_terms(log_exp_x) == x.terms
     for x, y in zip(xs, reversed(xs)):
-        (p, dp), (q, dq) = (t_exp(*z.to_tensor(), cap) for z in (x, y))
+        (p, dp), (q, dq) = (t_exp(*to_tensor(z), cap) for z in (x, y))
         log_prod = t_log(t_mul(p, q, cap), dp * dq, cap)
-        prod = t_mul(_oracle_exp(_rational(x.to_tensor()), cap),
-                     _oracle_exp(_rational(y.to_tensor()), cap), cap)
+        prod = t_mul(_oracle_exp(_rational(to_tensor(x)), cap),
+                     _oracle_exp(_rational(to_tensor(y)), cap), cap)
         assert _lowest(log_prod) == _oracle_log(prod, cap)
         assert x.bch(y) == LieElement(x.ctx, decompose(_oracle_log(prod, cap)))
+
+
+def _oracle_bch(x, y):
+    """log(exp x exp y) in the tensor algebra, back in the Lyndon basis."""
+    cap = x.ctx.max_degree
+    (p, dp), (q, dq) = (t_exp(*to_tensor(z), cap) for z in (x, y))
+    return LieElement(x.ctx, lie_terms(t_log(t_mul(p, q, cap), dp * dq, cap)))
+
+
+@pytest.mark.parametrize("cap", range(1, MAX_CLASS + 1))
+def test_bch_series_against_the_tensor_oracle(cap):
+    # Varadarajan's recursion against log(e^x e^y) on two free letters
+    ctx = get_context(1, cap)
+    z = _oracle_bch(ctx.generator(1), ctx.generator(2))
+    assert bch_series(cap) == tuple((standard_bracketing(w), c)
+                                    for w, c in sorted(z.terms.items()))
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def _bch_pairs(draw):
+    genus, cap = draw(st.integers(1, 3)), draw(st.sampled_from((4, 5)))
+    ctx = get_context(genus, cap)
+    words = st.integers(1, cap).flatmap(
+        lambda d: st.sampled_from(ctx.lyndon_basis(d)))
+    x, y = (LieElement(ctx, {w: c for w, c in draw(
+                st.dictionaries(words, _fractions, max_size=4)).items() if c})
+            for _ in range(2))
+    return x, y
+
+
+@seed(SEED)
+@settings(max_examples=25, deadline=None)
+@given(_bch_pairs())
+def test_bch_against_the_tensor_oracle(pair):
+    x, y = pair
+    z = x.bch(y)
+    assert z == _oracle_bch(x, y)
+    assert not any(type(c) is Fraction and c.denominator == 1
+                   for c in z.terms.values())
 
 
 def test_tensor_exp_and_log_refuse_a_wrong_constant_term():

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, rand_null_word, rand_word, twist_lifts, twist_pool
+from conftest import (SEED, rand_null_word, rand_tree_sum, rand_word,
+                      twist_lifts, twist_pool)
+from tensor_oracle import _expand_tree, decompose, t_mul, to_tensor
 from torelli.lie import (MAX_CLASS, DegreeCapError, LieContext, _bracket_words,
-                         _expand_tree, _expansion, decompose, get_context,
-                         lyndon_words, standard_bracketing, t_add_into, t_mul)
+                         get_context, lyndon_words, standard_bracketing,
+                         t_add_into)
 from torelli.mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
                          Inverse, NotInFiltration, Product, SeparatingTwist,
                          WindowUnderflow, bounding_pair_value, build_phi,
@@ -467,6 +469,34 @@ def test_tr3_direct_formula():
     assert tr3(ts) == expected
 
 
+def _oracle_tr3(ts):
+    """Morita's trace through the tensor algebra: the words z x y w of the
+    tensor expansion of eta(ts)(z), read as the monomials xyw."""
+    out = {}
+    dv = ts.eta()
+    for z in range(1, 2 * ts.genus + 1):
+        num, den = to_tensor(dv.value_on_letter(z))
+        for word, c in num.items():
+            if word[0] == z:
+                t_add_into(out, {tuple(sorted(word[1:])): Fraction(c, den)})
+    return out
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_tr3_against_the_tensor_contraction(genus):
+    rng = random.Random(SEED + genus)
+    nonzero = 0
+    for _ in range(50):
+        ts = rand_tree_sum(genus, rng, 3, terms=rng.randint(1, 3))
+        if not ts.terms:
+            continue
+        trace = tr3(ts)
+        assert trace == _oracle_tr3(ts)
+        assert all(type(c) is Fraction for c in trace.values())
+        nonzero += bool(trace)
+    assert nonzero > 10
+
+
 def test_tr3_kills_johnson_image(rng):
     # tau_3 of commutators [bounding pair, twist] lies in the trace kernel
     table = get_table(2, 3)
@@ -544,16 +574,13 @@ def test_tree_memo_matches_fresh_evaluation(table3):
 
 
 def test_structure_constants_match_fresh_evaluation(table3):
-    # the expansions and word brackets are cached once per process and shared
-    # by every context, so a fresh context reads the same entries: after a
-    # full report each must still equal an evaluation that bypasses the caches
+    # the word brackets are cached once per process and shared by every
+    # context, so a fresh context reads the same entries: after a full report
+    # each must still equal the commutator of the two tensor expansions
     theorem_b_report(table3)
-    assert _expansion.cache_info().currsize and \
-        _bracket_words.cache_info().currsize
+    assert _bracket_words.cache_info().currsize
     fresh = {w: _expand_tree(standard_bracketing(w))
              for w in lyndon_words(6, 5)}
-    for w, poly in fresh.items():
-        assert _expansion(w) == poly, w
     for w1, p1 in fresh.items():
         for w2, p2 in fresh.items():
             n = len(w1) + len(w2)

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_word
-from torelli.lie import DegreeCapError, get_context
+from conftest import SEED, rand_word
+from tensor_oracle import lie_terms, t_exp, t_log, t_mul, to_tensor
+from torelli.lie import DegreeCapError, LieElement, get_context
 from torelli.words import (ExpansionTable, GroupWord, WordParseError,
                            boundary_word, comm, get_table, parse_word,
                            symplectic_check, theta)
@@ -170,6 +172,35 @@ def test_theta_equals_bch_fold(rng):
             words += [rand_word(genus, rng, rng.randint(1, 5)) for _ in range(6)]
             for w in words:
                 assert theta(w, table).terms == _bch_fold(w, table).terms, w
+
+
+def _oracle_theta(word, table, exps):
+    """theta as the group-like product in the tensor algebra: the log of the
+    product of the exponentials of the letter values, kept in exps."""
+    cap = table.ctx.max_degree
+    prod, den = {(): 1}, 1
+    for letter in word.letters:
+        if letter not in exps:
+            exps[letter] = t_exp(*to_tensor(table.letter_value(*letter)), cap)
+        factor, factor_den = exps[letter]
+        prod = t_mul(prod, factor, cap)
+        den *= factor_den
+    return LieElement(table.ctx, lie_terms(t_log(prod, den, cap)))
+
+
+@pytest.mark.parametrize("genus, words_degree", [(3, 4), (30, 3)])
+def test_theta_against_the_tensor_oracle(genus, words_degree):
+    # the boundary word at degrees 3 and 4, and 200 seeded short words at one
+    # degree: at genus 30 the oracle needs about 4 s for them at degree 4
+    rng = random.Random(SEED + genus)
+    for degree in (3, 4):
+        table, exps = ExpansionTable(get_context(genus, degree)), {}
+        words = [boundary_word(genus)]
+        if degree == words_degree:
+            words += [rand_word(genus, rng, rng.randint(0, 5))
+                      for _ in range(200)]
+        for w in words:
+            assert theta(w, table) == _oracle_theta(w, table, exps), w
 
 
 def test_theta_is_memoized():
