@@ -43,8 +43,8 @@ _SP_KERNEL_MAX_GENUS = 16
 # lcst --md, and largest --max-genus of verify lower-bounds.  Measured cold
 # on a 2-core x86-64 machine with Python 3.11:
 # - verify symplectic folds the 4g letter values of the boundary word by
-#   BCH through degree 4: 0.23-0.32 s / 20 MB at genus 30, and in process
-#   0.17 s / 23 MB at 40 and 0.33 s / 28 MB at 50.  theta and compose
+#   BCH through degree 4: 0.18-0.27 s / 20 MB at genus 30, and in process
+#   0.15 s / 23 MB at 40 and 0.25 s / 27 MB at 50.  theta and compose
 #   of short words took under 0.3 s / 20 MB at genus 30; the table builds
 #   only the letter values a word uses, so theta a1+ at degree 4 took
 #   0.06-0.13 s / 15 MB at 30.

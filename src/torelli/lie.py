@@ -179,11 +179,12 @@ def _over(nums, den):
 
 def _bracket_into(out, left, right, cap):
     """Add sum c1 c2 [w1, w2] over the terms of two Lyndon-basis maps into out,
-    skipping the pairs whose total length passes cap."""
+    skipping the pairs whose total length passes cap; return out."""
     for w1, c1 in left.items():
         for w2, c2 in right.items():
             if len(w1) + len(w2) <= cap:
                 t_add_into(out, _bracket_words(w1, w2), c1 * c2)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -264,25 +265,6 @@ def eval_series(series, x, y, bracket):
         return v
 
     return [(tree, ev(tree), c) for tree, c in series]
-
-
-def _bracket_by_length(left, right, cap):
-    """[left, right] of two integer Lyndon-basis maps through length cap.  The
-    terms of right are grouped by length, so the pairs that pass cap are
-    skipped a whole length at a time."""
-    by_length = {}
-    for w, c in right.items():
-        by_length.setdefault(len(w), []).append((w, c))
-    lengths = sorted(by_length)
-    out = {}
-    for w1, c1 in left.items():
-        room = cap - len(w1)
-        for n in lengths:
-            if n > room:
-                break
-            for w2, c2 in by_length[n]:
-                t_add_into(out, _bracket_words(w1, w2), c1 * c2)
-    return out
 
 
 class LieContext:
@@ -469,9 +451,8 @@ class LieElement(SparseCombination):
     def bracket(self, other):
         """[self, other] in the Lyndon basis, degrees above the class dropped."""
         self._check(other)
-        out = {}
-        _bracket_into(out, self.terms, other.terms, self.ctx.max_degree)
-        return LieElement(self.ctx, out)
+        return LieElement(self.ctx, _bracket_into({}, self.terms, other.terms,
+                                                  self.ctx.max_degree))
 
     def bch(self, other):
         """Baker-Campbell-Hausdorff product log(exp(self) exp(other)).
@@ -488,7 +469,7 @@ class LieElement(SparseCombination):
             bch_series(cap),
             {w: c * (den // dx) for w, c in nx.items()},
             {w: c * (den // dy) for w, c in ny.items()},
-            lambda u, v: _bracket_by_length(u, v, cap))
+            lambda u, v: _bracket_into({}, u, v, cap))
         total = den ** cap * lcm(*(c.denominator for _t, _v, c in terms))
         out = {}
         for tree, value, c in terms:

@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .exact_linalg import rational_rank
-from .lie import (ContextMismatch, DegreeCapError, LieElement, eval_series,
-                  get_context, standard_bracketing, t_add_into)
+from .lie import (ContextMismatch, DegreeCapError, LieElement, bch_series,
+                  eval_series, get_context, standard_bracketing, t_add_into)
 from .sp_mod2 import project_l3_to_a, tree_mod2_bits
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees, join,
                     mod1_class_is_zero, varpi)
@@ -142,12 +142,13 @@ class GradedValue:
 @lru_cache(maxsize=None)
 def _series_words(op):
     """The series of op on two free letters x = 1, y = 2 in the Lyndon basis,
-    as (standard bracketing, coefficient) pairs: the log of a product of
-    exponentials, folded by BCH."""
+    as (standard bracketing, coefficient) pairs: BCH itself, or the log of a
+    longer product of exponentials, folded by BCH."""
+    if op == "bch":
+        return bch_series(CAP)
     ctx = get_context(1, CAP)
     x, y = ctx.generator(1), ctx.generator(2)
-    factors = {"bch": (x, y),                   # log(e^x e^y)
-               "commutator": (x, y, -x, -y),    # log(e^x e^y e^-x e^-y)
+    factors = {"commutator": (x, y, -x, -y),    # log(e^x e^y e^-x e^-y)
                "conjugate_by": (y, x, -y)}[op]  # log(e^y e^x e^-y) = exp(ad y) x
     z = reduce(LieElement.bch, factors)
     return tuple((standard_bracketing(w), c) for w, c in sorted(z.terms.items()))
