@@ -144,6 +144,9 @@ def _word(body, key, path):
 # kind -> (class, word fields) of the factors that take a power
 _POWERED = {"twist": (SeparatingTwist, ("lift",)),
             "bp": (BoundingPairMap, ("gamma", "c"))}
+# kind -> the fields of the factors whose body is an object
+_FIELDS = {"twist": ("lift", "power"), "bp": ("gamma", "c", "power"),
+           "conjugate": ("by", "arg")}
 
 
 def _parse_factor(obj, path="$", depth=0):
@@ -159,8 +162,12 @@ def _parse_factor(obj, path="$", depth=0):
         raise ValueError(f"{path}: bad factor object: {obj!r}")
     kind, body = next(iter(obj.items()))
     path = f"{path}.{kind}"
-    if kind in ("twist", "bp", "conjugate") and not isinstance(body, dict):
-        raise ValueError(f"{path}: the body must be an object: {body!r}")
+    if kind in _FIELDS:
+        if not isinstance(body, dict):
+            raise ValueError(f"{path}: the body must be an object: {body!r}")
+        for key in body:
+            if key not in _FIELDS[kind]:
+                raise ValueError(f"{path}.{key}: unknown field")
     if kind in ("product", "commutator") and not isinstance(body, list):
         raise ValueError(f"{path}: the body must be an array: {body!r}")
     if kind in _POWERED:
@@ -267,7 +274,7 @@ def cmd_verify_theorem_b(args):
 
 def cmd_verify_lcst(args):
     g = args.genus
-    if args.md:
+    if args.md is not None:
         md = tuple(int(x) for x in args.md.split(","))
         if len(md) != 2 * g or sum(md) != 6 or any(c < 0 for c in md):
             raise ValueError("multidegree must be 2g nonnegative counts summing to 6")

@@ -8,10 +8,12 @@ Integer numerators over one shared denominator are formed by `_numerators`
 and divided back by `_over`, once per coefficient.  The bracket of two Lyndon
 monomials is rewritten in the basis over Z on the standard factorization of
 the smaller word (Reutenauer, Free Lie Algebras, 1993).  Everything else is
-built from brackets too: the BCH product is a series of bracket trees on two
-letters (`bch_series`, from Varadarajan's recursion), and `eval_series`
-evaluates such a series on any two values that have a bracket, Lie elements
-here and the graded tree values of `mcg`.  There is no tensor algebra.
+built from brackets too, and every bracket tree in the package is evaluated
+by one memoized walk, `evaluate`, given a value per letter and a bracket: the
+BCH product is a series of bracket trees on two letters (`bch_series`, from
+Varadarajan's recursion), which `eval_series` evaluates on any two values
+that have a bracket, Lie elements here and the graded tree values of `mcg`.
+There is no tensor algebra.
 """
 
 from __future__ import annotations
@@ -251,20 +253,28 @@ def bch_series(cap):
     return tuple((standard_bracketing(w), c) for w, c in sorted(terms.items()))
 
 
+def evaluate(tree, leaf, bracket, memo):
+    """The value of a bracket tree with leaf(x) at each letter x and
+    bracket(u, v) at each node.  Each distinct sub-tree is evaluated once into
+    memo, which must hold the values of this leaf and bracket only."""
+    value = memo.get(tree)
+    if value is None:
+        if isinstance(tree, int):
+            value = leaf(tree)
+        else:
+            value = bracket(evaluate(tree[0], leaf, bracket, memo),
+                            evaluate(tree[1], leaf, bracket, memo))
+        memo[tree] = value
+    return value
+
+
 def eval_series(series, x, y, bracket):
     """A two-letter series of (tree, coefficient) pairs on the values x
-    (letter 1) and y (letter 2), as (tree, value, coefficient) triples.  The
-    trees share sub-trees, and bracket(u, v) is called once per distinct
-    sub-tree."""
-    values = {1: x, 2: y}
-
-    def ev(tree):
-        v = values.get(tree)
-        if v is None:
-            v = values[tree] = bracket(ev(tree[0]), ev(tree[1]))
-        return v
-
-    return [(tree, ev(tree), c) for tree, c in series]
+    (letter 1) and y (letter 2), as (tree, value, coefficient) triples, each
+    distinct sub-tree bracketed once."""
+    memo, leaf = {}, (None, x, y).__getitem__
+    return [(tree, evaluate(tree, leaf, bracket, memo), c)
+            for tree, c in series]
 
 
 class LieContext:
@@ -342,18 +352,11 @@ class LieContext:
         return LieElement(self, terms)
 
     def from_tree(self, tree):
-        """Evaluate an iterated-bracket tree with generator leaves.
-
-        Memoized per tree, so each distinct subtree is bracketed once.  The
-        result is shared: callers must not mutate its terms."""
-        out = self._tree_memo.get(tree)
-        if out is None:
-            if isinstance(tree, int):
-                out = self.generator(tree)
-            else:  # the bracket drops a tree beyond the class to zero
-                out = self.from_tree(tree[0]).bracket(self.from_tree(tree[1]))
-            self._tree_memo[tree] = out
-        return out
+        """The value of an iterated-bracket tree with generator leaves, zero
+        beyond the class.  Memoized in the context, so the result is shared:
+        callers must not mutate its terms."""
+        return evaluate(tree, self.generator, LieElement.bracket,
+                        self._tree_memo)
 
     def letter_name(self, letter):
         if letter <= self.genus:
@@ -492,26 +495,15 @@ class LieElement(SparseCombination):
 
     def render(self):
         """Text form: nested brackets over a1..ag, b1..bg, smallest word first,
-        each non-leading coefficient parenthesized, e.g. a1+(-1/2)*[a1,b1]."""
-        if not self.terms:
-            return "0"
-        words = self._ordered_words()
-        out = ""
-        for i, w in enumerate(words):
+        as 0+(c)*[..]+..., a leading coefficient 1 written bare in place of
+        the 0, e.g. a1+(-1/2)*[a1,b1]."""
+        memo, out = {}, "0"
+        for w in self._ordered_words():
             c = self.terms[w]
-            name = self._transform(standard_bracketing(w))
-            if i == 0 and c == 1:
-                out = name
-            elif i == 0:
-                out = f"0+({c})*{name}"
-            else:
-                out += f"+({c})*{name}"
+            name = evaluate(standard_bracketing(w), self.ctx.letter_name,
+                            "[{},{}]".format, memo)
+            out = name if out == "0" and c == 1 else f"{out}+({c})*{name}"
         return out
-
-    def _transform(self, tree):
-        if isinstance(tree, int):
-            return self.ctx.letter_name(tree)
-        return f"[{self._transform(tree[0])},{self._transform(tree[1])}]"
 
     def to_json(self):
         return {

@@ -28,7 +28,8 @@ from functools import lru_cache, reduce
 
 from .exact_linalg import rational_rank
 from .lie import (ContextMismatch, DegreeCapError, LieElement, bch_series,
-                  eval_series, get_context, standard_bracketing, t_add_into)
+                  eval_series, evaluate, get_context, standard_bracketing,
+                  t_add_into)
 from .sp_mod2 import project_l3_to_a, tree_mod2_bits
 from .trees import (DerivationElement, TreeSum, congruent_mod_trees, join,
                     mod1_class_is_zero, varpi)
@@ -444,37 +445,37 @@ def casson_values(table, factor):
 
 # --- the degree-3 trace -----------------------------------------------------
 
-def _contraction(z, tree):
-    """The words z x y ... of the tensor expansion of a bracket tree, as the
-    commutative monomials x y ... (sorted letter tuples) -> int.  With ab(t)
-    the letter of a leaf and 0 for a bracket (the abelianization),
-    f_z(x) = [x = z] and f_z([u, v]) = f_z(u) ab(v) - f_z(v) ab(u)."""
-    if isinstance(tree, int):
-        return {(): 1} if tree == z else {}
-    out = {}
-    for first, second, sign in ((tree[0], tree[1], 1), (tree[1], tree[0], -1)):
-        if isinstance(second, int):
-            for mono, c in _contraction(z, first).items():
-                t_add_into(out, {tuple(sorted(mono + (second,))): sign * c})
-    return out
-
-
 def tr3(ts):
-    """Morita's degree-3 trace into the cubic symmetric power: the
-    contraction of eta(ts) in H tensor L_4.  Each letter z takes the tensor
-    words z x y w of the derivation's value on z, read as the monomial xyw.
-    Returns a map from sorted letter triples to Fraction.
-    """
+    """Morita's degree-3 trace into the cubic symmetric power, a map from
+    sorted letter triples to Fraction: the contraction of eta(ts) in
+    H tensor L_4, where each letter z takes the tensor words z x y w of the
+    derivation's value on z as the monomial xyw.  Each bracket tree is
+    evaluated on pairs (ab, f), ab the letter of a leaf and None for a
+    bracket, and f mapping (z, sorted x y ...) to the coefficient of the
+    words z x y ... of its tensor expansion: f(x) = {(x, ()): 1} and
+    f([u, v]) = f(u) ab(v) - f(v) ab(u)."""
     dvs = ts.eta_graded()
     if not dvs:
         return {}
     if set(dvs) != {3}:
         raise ValueError(f"tr3 needs a degree-3 tree sum, got {sorted(dvs)}")
-    dv = dvs[3]
-    out = {}
+
+    def contract(left, right):
+        (ab_u, f_u), (ab_v, f_v) = left, right
+        out = {}
+        for f, ab, sign in ((f_u, ab_v, 1), (f_v, ab_u, -1)):
+            if ab is not None:
+                for (z, mono), c in f.items():
+                    key = (z, tuple(sorted(mono + (ab,))))
+                    t_add_into(out, {key: sign * c})
+        return None, out
+
+    memo, out = {}, {}
     for z in range(1, 2 * ts.genus + 1):
-        for w, c in dv.value_on_letter(z).terms.items():
-            t_add_into(out, _contraction(z, standard_bracketing(w)), c)
+        for w, c in dvs[3].value_on_letter(z).terms.items():
+            f = evaluate(standard_bracketing(w), lambda x: (x, {(x, ()): 1}),
+                         contract, memo)[1]
+            t_add_into(out, {m: x for (y, m), x in f.items() if y == z}, c)
     return {mono: Fraction(c) for mono, c in out.items()}
 
 
@@ -483,9 +484,17 @@ def tr3(ts):
 def phi_data(genus):
     """Lifts and factor structure of the element phi = [i, k] at genus >= 3.
 
-    The four separating curves and the two bounding pairs live in the
-    subsurface of the first three handles, so the same words work for any
-    genus >= 3.
+    Theorem B at every genus g >= 3 rests on one finite check, the genus-3
+    run.  The lifts use the handles 1-3 only, and the expansion values of
+    a_i, b_i, i <= 3, only the handles j <= i.  The letter map sigma_g:
+    i -> i, 3 + i -> g + i (i <= 3) is order-preserving, so it keeps Lyndon
+    words, standard bracketings and canonical trees, and commutes with the
+    bracket, BCH, eta and gluing: it carries each degree part of phi's
+    genus-3 value onto the genus-g one, zero off its image.  Bases,
+    caterpillars and half trees are listed from the letters of a
+    multidegree in order, so sigma_g carries the lattices, verdicts, failing
+    multidegrees and varpi over; the closed class keeps its a letters.  Only
+    d-spot-values moves, by its closed form (0, 3, 2(g - 2)).
     """
     if genus < 3:
         raise DegreeCapError("the construction of phi needs genus >= 3, "

@@ -57,13 +57,6 @@ class SpTransformation:
                         _pair(genus, 1 << x, 1 << y):
                     raise ValueError("map is not symplectic mod 2")
 
-    def __eq__(self, other):
-        return (isinstance(other, SpTransformation)
-                and (self.genus, self.images) == (other.genus, other.images))
-
-    def __hash__(self):
-        return hash((self.genus, self.images))
-
     def __repr__(self):
         return f"SpTransformation({self.genus}, {list(self.images)})"
 
@@ -153,7 +146,6 @@ def _l3_units(genus):  # shared by every action matrix
     return tuple(1 << i for i in range(witt_rank(2 * genus, 3)))
 
 
-@lru_cache(maxsize=None)
 def action_matrix(transformation):
     """Basis-image list of the transformation acting on L_3 mod 2."""
     g = transformation.genus

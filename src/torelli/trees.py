@@ -23,8 +23,8 @@ from functools import lru_cache
 
 from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
 from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
-                  _lyndon_words_of_content, _numerators, _over, get_context,
-                  t_add_into, tree_size)
+                  _lyndon_words_of_content, _numerators, _over, evaluate,
+                  get_context, t_add_into, tree_size)
 from .sp_mod2 import tree_mod2_bits
 
 
@@ -216,19 +216,15 @@ class TreeSum(SparseCombination):
         return all(dv.is_zero() for dv in (self - other).eta_graded().values())
 
     def to_json(self):
-        g = self.genus
-        ctx = get_context(g, 1)
-
-        def render(tree):
-            if isinstance(tree, int):
-                return ctx.letter_name(tree)
-            return [render(tree[0]), render(tree[1])]
-
+        # a tree is a generator name or a two-element array of trees
+        memo, name = {}, get_context(self.genus, 1).letter_name
         out = []
         for (u, v) in sorted(self.terms, key=lambda k: (tree_key(k[0]), tree_key(k[1]))):
             c = self.terms[(u, v)]
+            left, right = (evaluate(t, name, lambda x, y: [x, y], memo)
+                           for t in (u, v))
             out.append({"coeff": {"num": c.numerator, "den": c.denominator},
-                        "left": render(u), "right": render(v)})
+                        "left": left, "right": right})
         return out
 
     def __repr__(self):
@@ -294,15 +290,6 @@ class DerivationElement(SparseCombination):
         return LieElement(ctx, {w: s * c for (k, w), c in self.terms.items()
                                 if k == h})
 
-    def _apply_tree(self, ctx, values, tree):
-        if isinstance(tree, int):
-            return values[tree]
-        left = ctx.from_tree(tree[0])
-        right = ctx.from_tree(tree[1])
-        dl = self._apply_tree(ctx, values, tree[0])
-        dr = self._apply_tree(ctx, values, tree[1])
-        return dl.bracket(right) + left.bracket(dr)
-
     def bracket(self, other):
         """Commutator of the associated derivations, back in H tensor L form.
 
@@ -323,17 +310,23 @@ class DerivationElement(SparseCombination):
             if val.is_zero():
                 continue
             h, sign = _omega_dual(g, z)
-            t_add_into(terms, _tensor_letter(h, val), sign)
+            t_add_into(terms, {(h, w): c for w, c in val.terms.items()}, sign)
         return DerivationElement(g, k, terms)
 
     def apply_in(self, ctx, x):
-        """Apply the derivation to x, computing in the given (larger) context."""
-        lifted = lie_lift(ctx, x)
-        values = {z: lie_lift(ctx, self.value_on_letter(z))
-                  for z in range(1, 2 * self.genus + 1)}
-        out = {}
-        for c, tree in lifted.rooted_terms():
-            t_add_into(out, self._apply_tree(ctx, values, tree).terms, c)
+        """Apply the derivation to x, computing in the given (larger) context:
+        each standard bracketing of x is evaluated on the pairs (u, Du) under
+        the Leibniz rule [(u, Du), (v, Dv)] = ([u, v], [Du, v] + [u, Dv])."""
+        def leaf(z):
+            return ctx.generator(z), lie_lift(ctx, self.value_on_letter(z))
+
+        def leibniz(left, right):
+            (u, du), (v, dv) = left, right
+            return u.bracket(v), du.bracket(v) + u.bracket(dv)
+
+        memo, out = {}, {}
+        for c, tree in lie_lift(ctx, x).rooted_terms():
+            t_add_into(out, evaluate(tree, leaf, leibniz, memo)[1].terms, c)
         return LieElement(ctx, out)
 
     def bracket_map_image(self):
@@ -375,11 +368,6 @@ class DerivationElement(SparseCombination):
 
     def __repr__(self):
         return f"<Derivation g={self.genus} deg={self.degree} {len(self.terms)} terms>"
-
-
-def _tensor_letter(h, x):
-    """The terms of h tensor x for a letter h and a Lie element x."""
-    return {(h, w): c for w, c in x.terms.items()}
 
 
 def _term_multidegree(genus, key):
@@ -516,7 +504,6 @@ def tree_lattice(genus, degree, md):
     return hnf(rows, ambient_dim=len(component_basis(genus, degree, md)))
 
 
-@lru_cache(maxsize=None)
 def degree4_presentation(genus, md):
     """Generators of the md component of the integral symplectic derivation
     lattice of degree sum(md) - 2 (degree 4 in the paper).

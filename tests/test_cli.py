@@ -125,6 +125,15 @@ def test_verify_lcst_refuses_full_genus3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("genus", ["1", "3"])
+def test_verify_lcst_empty_md_exit2(capsys, genus):
+    # an explicit empty --md is a malformed multidegree, not a request for
+    # the full quotient
+    code, out, err = run(capsys, "verify", "lcst", "--genus", genus, "--md=")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ")
+
+
 def test_verify_sp_kernel(capsys):
     code, out, _ = run(capsys, "verify", "sp-kernel", "--genus", "3")
     assert code == 0 and "64" in out
@@ -188,15 +197,28 @@ _BAD_FACTORS = [
                      _TWIST]}, "$.commutator[0].twist.power"),
     ([_TWIST, {"inverse": {"conjugate": {"by": _TWIST}}}],
      "$[1].inverse.conjugate.arg"),
+    # a misspelt or foreign field is refused, not silently ignored
+    ({"twist": {"lift": "a1+b1+a1-b1-", "pwoer": 2}}, "$.twist.pwoer"),
+    ({"bp": {"gamma": "a3+", "c": "b3+a1+b1-a1-b1+b3-", "lift": "a1+"}},
+     "$.bp.lift"),
+    ({"conjugate": {"by": _TWIST, "arg": _TWIST, "power": 2}},
+     "$.conjugate.power"),
+    ([_TWIST, {"commutator": [_TWIST, {"twist": {"lift": "a2+b2+a2-b2-",
+                                                 "c": "a1+"}}]}],
+     "$[1].commutator[1].twist.c"),
 ]
+_UNKNOWN_FIELDS = ("$.twist.pwoer", "$.bp.lift", "$.conjugate.power",
+                   "$[1].commutator[1].twist.c")
 
 
 @pytest.mark.parametrize("spec, path", _BAD_FACTORS,
                          ids=[f"spec{i}" for i in range(len(_BAD_FACTORS))])
 def test_compose_bad_factor_exit2(capsys, spec, path):
-    code, _, err = run(capsys, "compose", json.dumps(spec))
-    assert code == 2
+    code, out, err = run(capsys, "compose", json.dumps(spec))
+    assert code == 2 and out == ""
     assert err.startswith(f"input error: {path}: ")
+    if path in _UNKNOWN_FIELDS:
+        assert err == f"input error: {path}: unknown field\n"
 
 
 @pytest.mark.parametrize("spec", ["", "   "], ids=["empty", "blank"])

@@ -7,15 +7,16 @@ from conftest import (SEED, rand_null_word, rand_tree_sum, rand_word,
                       twist_lifts, twist_pool)
 from tensor_oracle import _expand_tree, decompose, t_mul, to_tensor
 from torelli.lie import (MAX_CLASS, DegreeCapError, LieContext, _bracket_words,
-                         get_context, lyndon_words, standard_bracketing,
-                         t_add_into)
+                         evaluate, get_context, lyndon_words,
+                         standard_bracketing, t_add_into)
 from torelli.mcg import (BoundingPairMap, Commutator, Conjugate, GradedValue,
                          Inverse, NotInFiltration, Product, SeparatingTwist,
                          WindowUnderflow, bounding_pair_value, build_phi,
                          casson_values, factor_value, genus_of_lift, phi_data,
                          r_circ_mod1, r_mod1, tau, theorem_b_report, tr3,
                          twist_value)
-from torelli.trees import TreeSum, congruent_mod_trees, join
+from torelli.sp_mod2 import _l3_basis, _l3_index
+from torelli.trees import TreeSum, congruent_mod_trees, join, tree_lattice
 from torelli.words import get_table, parse_word, theta
 
 
@@ -603,6 +604,68 @@ def test_phi_at_genus_four():
     assert not rep["R"].is_zero
     assert rep["varpi_bits"] == rep["varpi_expected_bits"]
     assert rep["closed_bits"] == rep["closed_expected_bits"] != 0
+
+
+def _sigma(genus):
+    """The letter map sigma_g of phi_data: i -> i and 3 + i -> g + i."""
+    return lambda x: x if x <= 3 else x - 3 + genus
+
+
+def _sigma_tree(genus, tree):
+    return evaluate(tree, _sigma(genus), lambda u, v: (u, v), {})
+
+
+def _sigma_md(genus, md):
+    out = [0] * (2 * genus)
+    for letter, c in enumerate(md, 1):
+        out[_sigma(genus)(letter) - 1] = c
+    return tuple(out)
+
+
+def _moved_l3_bits(bits, n, m, letter_map=lambda x: x):
+    """L_3 mod 2 bits over the words on n letters, each word moved by
+    letter_map into the words on m letters."""
+    return sum(1 << _l3_index(m, tuple(map(letter_map, w)))
+               for w in _l3_basis(n) if bits >> _l3_index(n, w) & 1)
+
+
+@pytest.fixture(scope="module")
+def genus3_report():
+    return theorem_b_report(get_table(3, 3))
+
+
+@pytest.mark.parametrize("genus", [4, 5, 8, 30])
+def test_theorem_b_at_genus_g_is_sigma_of_genus3(genus, genus3_report):
+    # the every-genus argument of phi_data, checked on its objects: sigma_g
+    # carries each genus-3 object onto the genus-g one
+    (stages3, rep3), (stages, rep) = (genus3_report,
+                                      theorem_b_report(get_table(genus, 3)))
+    sigma = _sigma(genus)
+    for name in ("value_i", "value_k", "value_phi"):
+        v3, v = rep3[name], rep[name]
+        assert (v.depth, v.known) == (v3.depth, v3.known)
+        for d, part in v3.known_parts().items():
+            assert v.part(d).terms == {
+                (_sigma_tree(genus, u), _sigma_tree(genus, w)): c
+                for (u, w), c in part.terms.items()}, (name, d)
+    r3, r = rep3["R"], rep["R"]
+    assert r.derivation.terms == {
+        (sigma(h), tuple(map(sigma, w))): c
+        for (h, w), c in r3.derivation.terms.items()}
+    assert r.failing_multidegrees == tuple(
+        _sigma_md(genus, md) for md in r3.failing_multidegrees)
+    for md in r3.failing_multidegrees:
+        assert (tree_lattice(genus, 4, _sigma_md(genus, md)).rows
+                == tree_lattice(3, 4, md).rows)
+    for bits in ("varpi_bits", "varpi_expected_bits"):
+        assert rep[bits] == _moved_l3_bits(rep3[bits], 6, 2 * genus, sigma)
+    for bits in ("closed_bits", "closed_expected_bits"):  # the a letters stay
+        assert rep[bits] == _moved_l3_bits(rep3[bits], 3, genus)
+    assert [(s["stage"], s["ok"]) for s in stages] == \
+        [(s["stage"], s["ok"]) for s in stages3]
+    spots = next(s for s in stages if s["stage"] == "d-spot-values")
+    assert spots["ok"]
+    assert spots["detail"].startswith(f"computed {(0, 3, 2 * (genus - 2))}")
 
 
 def test_phi_needs_genus_three():

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import (SEED, independent_eta, rand_homogeneous, rand_tree_sum,
-                      run_python)
+from conftest import (SEED, independent_eta, rand_coeff, rand_homogeneous,
+                      rand_lie, rand_tree_sum, run_python)
 from torelli.exact_linalg import hnf, rational_rank, solve_rational_combination
-from torelli.lie import (ContextMismatch, LieElement, get_context, t_add_into,
-                         tree_size, witt_rank)
+from torelli.lie import (MAX_CLASS, ContextMismatch, LieElement, get_context,
+                         t_add_into, tree_size, witt_rank)
 from torelli.mcg import tr3
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, _eta_int_vector,
@@ -314,6 +315,44 @@ def test_lcst_component_genus3():
     assert sum(1 for d in diag if d == 2) == half_count == 2
 
 
+def _partitions(n, parts, largest=None):
+    """The partitions of n into at most `parts` parts, each padded with
+    zeros to `parts` entries, in decreasing order."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [(0,) * parts]
+    if parts == 0:
+        return []
+    return [(first,) + rest for first in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - first, parts - 1, first)]
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_lcst_component_depends_only_on_the_shape(genus):
+    # a permutation of the letters is an automorphism of the free Lie ring
+    # that commutes with eta, so it carries each component's quotient onto
+    # the permuted one: the invariant factors depend only on sorted(md)
+    shapes = {}
+    for md in all_multidegrees(genus, 6):
+        shape = tuple(sorted(md, reverse=True))
+        if shape not in shapes:
+            shapes[shape] = lcst_component_diagonal(genus, shape)
+        assert lcst_component_diagonal(genus, md) == shapes[shape], md
+
+
+@pytest.mark.parametrize("genus", range(1, 7))
+def test_shape_arrangements_count_every_multidegree(genus):
+    # a shape with entry multiplicities m_j stands for (2g)! / prod m_j!
+    # multidegrees
+    total = 0
+    for shape in _partitions(6, 2 * genus):
+        count = factorial(2 * genus)
+        for entry in set(shape):
+            count //= factorial(shape.count(entry))
+        total += count
+    assert total == len(all_multidegrees(genus, 6))
+
+
 def _two_shape_rows(genus, md):
     """Integer eta rows of both degree-4 diagram shapes, the chain
     (c0, c1) -- (c2, (c3, (c4, c5))) and the central node
@@ -573,6 +612,30 @@ def test_eta_images_annihilate_omega(rng):
         dv = ts.eta()
         ctx = get_context(genus, dv.degree + 2)
         assert dv.apply_in(ctx, ctx.omega()).is_zero()
+
+
+def test_apply_in_is_a_derivation():
+    # D[x, y] = [Dx, y] + [x, Dy] for random derivations D, symplectic or
+    # not.  This holds however [x, y] is re-bracketed in the Lyndon basis, so
+    # it checks the Leibniz walk of apply_in on the trees that come out.
+    rng = random.Random(SEED)
+    genus = 2
+    ctx = get_context(genus, MAX_CLASS)
+    nonzero = 0
+    for _ in range(200):
+        degree = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            key = (rng.randint(1, 2 * genus),
+                   rng.choice(ctx.lyndon_basis(degree + 1)))
+            t_add_into(terms, {key: rand_coeff(rng)})
+        d = DerivationElement(genus, degree, terms)
+        x, y = (rand_lie(ctx, rng, terms=2, max_degree=2) for _ in range(2))
+        lhs = d.apply_in(ctx, x.bracket(y))
+        assert lhs == (d.apply_in(ctx, x).bracket(y)
+                       + x.bracket(d.apply_in(ctx, y)))
+        nonzero += not lhs.is_zero()
+    assert nonzero > 100
 
 
 # --- the shared linear operations -----------------------------------------
