@@ -156,6 +156,8 @@ def _parse_factor(obj, path="$", depth=0):
         raise ValueError(f"spec nested too deeply (over {_SPEC_MAX_DEPTH} "
                          "levels)")
     if isinstance(obj, list):
+        if not obj:
+            raise ValueError(f"{path}: empty product")
         return Product([_parse_factor(f, f"{path}[{i}]", depth + 1)
                         for i, f in enumerate(obj)])
     if not isinstance(obj, dict) or len(obj) != 1:
@@ -275,9 +277,13 @@ def cmd_verify_theorem_b(args):
 def cmd_verify_lcst(args):
     g = args.genus
     if args.md is not None:
-        md = tuple(int(x) for x in args.md.split(","))
+        try:
+            md = tuple(int(x) for x in args.md.split(","))
+        except ValueError:
+            md = ()
         if len(md) != 2 * g or sum(md) != 6 or any(c < 0 for c in md):
-            raise ValueError("multidegree must be 2g nonnegative counts summing to 6")
+            raise ValueError(f"--md {args.md!r}: expected {2 * g} nonnegative "
+                             "integers, comma-separated, summing to 6")
         diag = lcst_component_diagonal(g, md)
         twos = sum(1 for d in diag if d == 2)
         ok = set(diag) <= {1, 2}

@@ -490,9 +490,11 @@ def phi_data(genus):
     i -> i, 3 + i -> g + i (i <= 3) is order-preserving, so it keeps Lyndon
     words, standard bracketings and canonical trees, and commutes with the
     bracket, BCH, eta and gluing: it carries each degree part of phi's
-    genus-3 value onto the genus-g one, zero off its image.  Bases,
-    caterpillars and half trees are listed from the letters of a
-    multidegree in order, so sigma_g carries the lattices, verdicts, failing
+    genus-3 value onto the genus-g one, zero off its image.  A component's
+    basis, its tree rows on the rarest color (the smallest on a tie) and its
+    Lyndon half trees are listed from the letters of its multidegree in
+    order, and "rarest, then smallest" is kept by every order-preserving
+    letter map, so sigma_g carries the lattices, verdicts, failing
     multidegrees and varpi over; the closed class keeps its a letters.  Only
     d-spot-values moves, by its closed form (0, 3, 2(g - 2)).
     """

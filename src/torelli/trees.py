@@ -14,6 +14,11 @@ Gluing (`bracket`, `contract`), `join` and `eta` run over Z: they take the
 integer numerators of their inputs over one shared denominator, add every
 glued or rerooted term as an `int`, and divide once per output coefficient.
 
+The integer tree lattice of a multidegree md and the degree-4 presentation
+are read off md's component basis: the rows join the rarest color h of md to
+the standard bracketings of the basis words paired with h, and the half trees
+are the standard bracketings of the Lyndon words of half the content.
+
 Degree of a diagram = number of trivalent vertices = total leaves - 2.
 """
 
@@ -24,7 +29,7 @@ from functools import lru_cache
 from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
 from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
                   _lyndon_words_of_content, _numerators, _over, evaluate,
-                  get_context, t_add_into, tree_size)
+                  get_context, standard_bracketing, t_add_into, tree_size)
 from .sp_mod2 import tree_mod2_bits
 
 
@@ -411,68 +416,21 @@ def _place(genus, degree, md, part):
 
 # --- integer tree lattices --------------------------------------------------
 
-def _colorings(md):
-    """The distinct arrangements of the colors counted by md, in
-    lexicographic order; a repeated color is placed once per position, so no
-    arrangement is listed twice."""
-    if not any(md):
-        return [()]
-    out = []
-    for i, c in enumerate(md):
-        if c:
-            rest = list(md)
-            rest[i] -= 1
-            out.extend((i + 1,) + tail for tail in _colorings(rest))
-    return out
-
-
-def _nest(colors):
-    """The right-nested rooted tree (c0, (c1, (..., c_last)))."""
-    return colors[0] if len(colors) == 1 else (colors[0], _nest(colors[1:]))
-
-
-def basis_colored_trees(genus, md):
-    """The caterpillar diagrams (c0, c1) -- (c2, (c3, (..., c_last))) whose
-    end colors are fixed, c0 the smallest color of md and c_last the largest,
-    as (coloring, TreeSum) pairs, one per distinct arrangement of the middle.
-
-    Rooted at c0, such a caterpillar is the right-normed bracket
-    [c1, [c2, [..., c_last]]].  Right-normed brackets with a fixed last letter
-    span each content component of the free Lie ring over Z (they are images
-    of its multilinear basis).  Every diagram of md can be rooted at a leaf
-    of color c0, and eta(c0 -- t) depends only on the class of t in that
-    ring, so these caterpillars span the integer tree lattice of md.
-    """
-    colors = [i + 1 for i, c in enumerate(md) if c]
-    first, last = colors[0], colors[-1]
-    middle = list(md)
-    middle[first - 1] -= 1
-    middle[last - 1] -= 1
-    out = []
-    for inner in _colorings(middle):
-        coloring = (first,) + inner + (last,)
-        ts = TreeSum.single(genus, _nest(coloring[:2]), _nest(coloring[2:]))
-        if ts.terms:
-            out.append((coloring, ts))
-    return out
-
-
 def half_symmetric_generators(genus, md):
-    """(u, (1/2) eta(u -- u) as an integer vector) over the nested trees u
-    with half the content of md; empty unless md is even.
+    """(u, (1/2) eta(u -- u) as an integer vector) over the standard
+    bracketings u of the Lyndon words with half the content of md; empty
+    unless md is even.
 
-    Modulo diagrams (u + v -- u + v)/2 = (u -- u)/2 + (v -- v)/2 + (u -- v),
-    so nested u suffice: their brackets span.
+    Modulo diagrams (u + v -- u + v)/2 = (u -- u)/2 + (v -- v)/2 + (u -- v)
+    and (cu -- cu)/2 = c (u -- u)/2 + ((c^2 - c)/2) (u -- u), so a Z-basis
+    of the half content suffices.
     """
     if any(c % 2 for c in md):
         return []
     out = []
-    for coloring in _colorings(tuple(c // 2 for c in md)):
-        u = _nest(coloring)
-        ts = TreeSum.single(genus, u, u)
-        if not ts.terms:
-            continue
-        vec = _eta_int_vector(ts, md)
+    for w in _lyndon_words_of_content(tuple(c // 2 for c in md)):
+        u = standard_bracketing(w)
+        vec = _eta_int_vector(TreeSum.single(genus, u, u), md)
         if any(v % 2 for v in vec):
             raise ValueError(f"eta of the double of {u} is not even")
         out.append((u, tuple(v // 2 for v in vec)))
@@ -488,13 +446,18 @@ def _eta_int_vector(ts, md):
 
 @lru_cache(maxsize=None)
 def diagram_rows(genus, md):
-    """Integer eta vectors of the fixed-end caterpillars of the md component,
-    in the order of basis_colored_trees.  The rows span the integer tree
-    lattice of md: every diagram rooted at a leaf of the smallest color is a
-    bracket, and right-normed brackets ending in the largest color span its
-    class over Z."""
-    return tuple(_eta_int_vector(ts, md)
-                 for _c, ts in basis_colored_trees(genus, md))
+    """Integer eta vectors of the joins h -- standard_bracketing(w) over the
+    keys (h, w) of the md component's basis, h its rarest color (the
+    smallest on a tie), which keeps the rows few.  They span the integer
+    tree lattice of md: every diagram of md rooted at a leaf of color h is a
+    join h -- t, eta(h -- t) is Z-linear in the class of t in the free Lie
+    ring, and the Lyndon words are a Z-basis of each of its content
+    components."""
+    h = min((c, i) for i, c in enumerate(md, 1) if c)[1]
+    return tuple(_eta_int_vector(TreeSum.single(genus, h,
+                                                standard_bracketing(w)), md)
+                 for k, w in component_basis(genus, sum(md) - 2, md)
+                 if k == h)
 
 
 @lru_cache(maxsize=None)
@@ -508,7 +471,7 @@ def degree4_presentation(genus, md):
     """Generators of the md component of the integral symplectic derivation
     lattice of degree sum(md) - 2 (degree 4 in the paper).
 
-    Returns (rows, half_trees): the caterpillar rows, which generate the tree
+    Returns (rows, half_trees): the diagram rows, which generate the tree
     sublattice, followed by the half-symmetric rows, whose trees u are
     half_trees in the same order.
     """

@@ -128,10 +128,14 @@ def test_verify_lcst_refuses_full_genus3(capsys):
 @pytest.mark.parametrize("genus", ["1", "3"])
 def test_verify_lcst_empty_md_exit2(capsys, genus):
     # an explicit empty --md is a malformed multidegree, not a request for
-    # the full quotient
-    code, out, err = run(capsys, "verify", "lcst", "--genus", genus, "--md=")
-    assert code == 2 and out == ""
-    assert err.startswith("input error: ")
+    # the full quotient; a malformed or misshapen one names the option
+    for md in ("--md=", "--md=1,x", "--md=3,3,", "--md=3,3,0,0,0,0,0",
+               "--md=3,4,-1,0,0,0"):
+        code, out, err = run(capsys, "verify", "lcst", "--genus", genus, md)
+        assert code == 2 and out == "", md
+        assert err.startswith("input error: --md "), md
+        assert err.endswith(" nonnegative integers, comma-separated, "
+                            "summing to 6\n"), md
 
 
 def test_verify_sp_kernel(capsys):
@@ -206,6 +210,10 @@ _BAD_FACTORS = [
     ([_TWIST, {"commutator": [_TWIST, {"twist": {"lift": "a2+b2+a2-b2-",
                                                  "c": "a1+"}}]}],
      "$[1].commutator[1].twist.c"),
+    # an empty product is refused where it stands
+    ([], "$"),
+    ({"product": []}, "$.product"),
+    ({"conjugate": {"by": [], "arg": _TWIST}}, "$.conjugate.by"),
 ]
 _UNKNOWN_FIELDS = ("$.twist.pwoer", "$.bp.lift", "$.conjugate.power",
                    "$[1].commutator[1].twist.c")
@@ -267,9 +275,18 @@ def test_theorem_b_json_bytes_are_pinned(genus, digest):
      "3c49cd5a93c854467e1bf1f6d7ca234ada61422916e01da41794a69ed2982ee7"),
     (["lcst", "--genus", "3", "--md", "1,2,2,0,0,1"],
      "f55cd4b1d831f692da663648f31e6f7b1074cb7c3cf2eb080e8c30f05684b1a6"),
+    (["lcst", "--genus", "1"],
+     "ba4806b67e210b35f9e4a3c5e3e1df20d318eea085c32db1d86885f702473988"),
+    (["lcst", "--genus", "3", "--md", "2,2,2,0,0,0"],
+     "48ee98410f3c19c7edcd43cc2d4ecb0c84973a8be94d13d3831e6ead81df4c45"),
+    (["lcst", "--genus", "3", "--md", "1,1,1,1,1,1"],
+     "c06392207649c01b693fb6fd44072d287e0dbcfb2626deb03ac2f74fd596f0c5"),
+    (["lcst", "--genus", "4", "--md", "3,0,1,0,2,0,0,0"],
+     "49771d79b15dd7b93c7687cb6b77996f7902e99950ebed5454a779aeae372c3e"),
 ], ids=["sp-kernel-genus5", "sp-kernel-genus6", "sp-kernel-genus8",
         "sp-kernel-genus10", "sp-kernel-genus12", "lcst-genus2",
-        "lcst-genus3-md"])
+        "lcst-genus3-md", "lcst-genus1", "lcst-genus3-md222000",
+        "lcst-genus3-md111111", "lcst-genus4-md30102000"])
 def test_verify_json_bytes_are_pinned(argv, digest):
     # as above, for the GF(2) orbit span and the full degree-4 quotient
     run = run_python("-m", "torelli.cli", "verify", *argv, "--format", "json")

@@ -11,12 +11,12 @@ from conftest import (SEED, independent_eta, rand_coeff, rand_homogeneous,
                       rand_lie, rand_tree_sum, run_python)
 from torelli.exact_linalg import hnf, rational_rank, solve_rational_combination
 from torelli.lie import (MAX_CLASS, ContextMismatch, LieElement, get_context,
-                         t_add_into, tree_size, witt_rank)
+                         standard_bracketing, t_add_into, tree_size,
+                         witt_rank)
 from torelli.mcg import tr3
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, _eta_int_vector,
-                           all_multidegrees, basis_colored_trees,
-                           canonical_tree, component_basis,
+                           all_multidegrees, canonical_tree, component_basis,
                            degree4_presentation, diagram_rows, ell_pairing,
                            half_symmetric_generators, join,
                            join_leaf_decompositions, lcst_component_diagonal,
@@ -232,10 +232,9 @@ def test_component_basis_matches_per_letter_filter(rng):
 def test_degree4_lattice_membership_examples():
     genus = 2
     md = (2, 2, 1, 1)
-    trees = basis_colored_trees(genus, md)
     lat = tree_lattice(genus, 4, md)
-    vec = [int(c) for c in trees[0][1].eta().component_vector(md)]
-    assert lat.contains(vec)
+    for _c, ts in _fixed_end_caterpillars(genus, md):
+        assert lat.contains(ts.eta().component_vector(md))
 
     even = (2, 2, 2, 0)
     halves = half_symmetric_generators(genus, even)
@@ -315,6 +314,15 @@ def test_lcst_component_genus3():
     assert sum(1 for d in diag if d == 2) == half_count == 2
 
 
+def test_lcst_full_quotient_at_genus3():
+    # the whole genus-3 quotient: one factor per rank of the derivation
+    # lattice, 2g rk L_5 - rk L_6, and (Z/2)^{rk L_3}
+    diag = lcst_full_diagonals(3)
+    assert len(diag) == 1589 == 6 * witt_rank(6, 5) - witt_rank(6, 6)
+    assert set(diag) == {1, 2}
+    assert diag.count(2) == 70 == witt_rank(6, 3)
+
+
 def _partitions(n, parts, largest=None):
     """The partitions of n into at most `parts` parts, each padded with
     zeros to `parts` entries, in decreasing order."""
@@ -377,49 +385,91 @@ def _two_shape_rows(genus, md):
          (2, 2, 2, 0, 0, 0)]),
 ], ids=["genus1", "genus2", "genus3"])
 def test_caterpillars_span_the_degree4_tree_lattice(genus, mds):
-    # the central-node shape adds nothing to the caterpillar lattice
+    # the rows on the rarest color span both degree-4 shapes: every chain
+    # and every central-node diagram
     for md in mds:
         reference = hnf(_two_shape_rows(genus, md),
                         ambient_dim=len(component_basis(genus, 4, md)))
         assert reference.rows == tree_lattice(genus, 4, md).rows, md
 
 
-def _all_caterpillars(genus, md):
-    """(coloring, integer eta row) of the caterpillar (c0, c1) -- (c2, (...))
-    over every coloring c of md, without fixing its end colors."""
+def _caterpillars(genus, md):
+    """(coloring, TreeSum) of the nonzero caterpillars
+    (c0, c1) -- (c2, (c3, (..., c_last))) over every coloring c of md."""
     colors = [i + 1 for i, c in enumerate(md) for _ in range(c)]
     out = []
     for c in sorted(set(permutations(colors))):
-        tail = c[-1]
-        for x in reversed(c[2:-1]):
-            tail = (x, tail)
-        ts = TreeSum.single(genus, (c[0], c[1]), tail)
+        ts = TreeSum.single(genus, (c[0], c[1]), _nested(c[2:]))
         if ts.terms:
-            out.append((c, [int(x) for x in ts.eta().component_vector(md)]))
+            out.append((c, ts))
     return out
+
+
+def _nested(colors):
+    """The right-nested rooted tree (c0, (c1, (..., c_last)))."""
+    return colors[0] if len(colors) == 1 else (colors[0], _nested(colors[1:]))
+
+
+def _all_caterpillars(genus, md):
+    """(coloring, integer eta row) of the caterpillar (c0, c1) -- (c2, (...))
+    over every coloring c of md, without fixing its end colors."""
+    return [(c, [int(x) for x in ts.eta().component_vector(md)])
+            for c, ts in _caterpillars(genus, md)]
+
+
+def _fixed_end_caterpillars(genus, md):
+    """The caterpillars of _caterpillars with c0 the smallest color of md and
+    c_last the largest: rooted at c0 they are the right-normed brackets
+    [c1, [c2, [..., c_last]]], which span each content component of the
+    free Lie ring over Z."""
+    colors = [i + 1 for i, c in enumerate(md) if c]
+    return [(c, ts) for c, ts in _caterpillars(genus, md)
+            if c[0] == colors[0] and c[-1] == colors[-1]]
 
 
 @pytest.mark.parametrize("genus, degrees", [
     (1, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2, 3)),
 ], ids=["genus1", "genus2", "genus3"])
 def test_fixed_end_caterpillars_span_all_caterpillars(genus, degrees):
-    # oracle: the rows of the caterpillars with the smallest color first and
-    # the largest last generate the lattice of every caterpillar coloring
+    # oracle: the rows of the joins on the rarest color generate the lattice
+    # of every caterpillar coloring
     for degree in degrees:
         for md in all_multidegrees(genus, degree + 2):
-            everything = _all_caterpillars(genus, md)
-            colorings = [c for c, _ts in basis_colored_trees(genus, md)]
-            rows = diagram_rows(genus, md)
-            by_coloring = dict(everything)
-            assert all(by_coloring[c] == list(r)
-                       for c, r in zip(colorings, rows)), md
-            colors = [i + 1 for i, c in enumerate(md) if c]
-            assert all(c[0] == colors[0] and c[-1] == colors[-1]
-                       for c in colorings), md
             dim = len(component_basis(genus, degree, md))
-            assert (hnf(rows, ambient_dim=dim).rows
-                    == hnf([r for _c, r in everything],
+            assert (hnf(diagram_rows(genus, md), ambient_dim=dim).rows
+                    == hnf([r for _c, r in _all_caterpillars(genus, md)],
                            ambient_dim=dim).rows), md
+
+
+def _nested_half_rows(genus, md):
+    """(1/2) eta(u -- u) as integer rows over the right-nested trees u of
+    every arrangement of half the content of md; none unless md is even."""
+    if any(c % 2 for c in md):
+        return []
+    colors = [i + 1 for i, c in enumerate(md) for _ in range(c // 2)]
+    rows = []
+    for c in sorted(set(permutations(colors))):
+        ts = TreeSum.single(genus, _nested(c), _nested(c))
+        if ts.terms:
+            rows.append([int(x) // 2 for x in ts.eta().component_vector(md)])
+    return rows
+
+
+@pytest.mark.parametrize("genus, mds", [
+    (1, all_multidegrees(1, 6)),
+    (2, all_multidegrees(2, 6)),
+    (3, _partitions(6, 6)),
+], ids=["genus1", "genus2", "genus3-shapes"])
+def test_degree4_presentation_against_caterpillars_and_nested_halves(genus,
+                                                                     mds):
+    # oracle: every caterpillar and every nested half tree generate the
+    # derivation lattice that the Lyndon rows and half trees present
+    for md in mds:
+        dim = len(component_basis(genus, 4, md))
+        oracle = ([r for _c, r in _all_caterpillars(genus, md)]
+                  + _nested_half_rows(genus, md))
+        assert (hnf(degree4_presentation(genus, md)[0], ambient_dim=dim).rows
+                == hnf(oracle, ambient_dim=dim).rows), md
 
 
 def _rand_tree(rng, leaves, letters):
@@ -463,11 +513,16 @@ def _tr3_over_all_chains(ts):
 @pytest.mark.parametrize("genus", [2, 3])
 def test_tr3_matches_the_chain_formula_on_a_spanning_set(genus):
     # The fixed-end caterpillars of each degree-3 multidegree span its tree
-    # lattice (basis_colored_trees), so every degree-3 tree sum is a rational
+    # lattice (checked here), so every degree-3 tree sum is a rational
     # combination of them.  tr3 is linear, so matching the chain formula on
     # these chains it is Morita's trace on every degree-3 tree sum.
     for md in all_multidegrees(genus, 5):
-        for chain, ts in basis_colored_trees(genus, md):
+        chains = _fixed_end_caterpillars(genus, md)
+        rows = [[int(x) for x in ts.eta().component_vector(md)]
+                for _c, ts in chains]
+        assert (hnf(rows, ambient_dim=len(component_basis(genus, 3, md))).rows
+                == tree_lattice(genus, 3, md).rows), md
+        for chain, ts in chains:
             assert tr3(ts) == _chain_trace(genus, chain), chain
 
 
@@ -558,9 +613,7 @@ def test_closed_projection():
 def test_quotient_has_no_free_part_at_genus1():
     # rationally the tree span fills the degree-4 derivation space
     for md in [(6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5), (0, 6)]:
-        trees = basis_colored_trees(1, md)
-        rows = [[int(c) for c in t.eta().component_vector(md)]
-                for _c, t in trees]
+        rows = diagram_rows(1, md)
         full = hnf(degree4_presentation(1, md)[0],
                    ambient_dim=len(component_basis(1, 4, md)))
         if rows:
@@ -741,11 +794,13 @@ def test_components_split_the_terms_by_multidegree(joins):
 
 def test_eta_int_vector_refuses_fractions_and_foreign_terms():
     md = (2, 2, 1, 1)
-    (_c, ts), *_ = basis_colored_trees(2, md)
+    # the first row joins the rarest color, 3, to its first Lyndon word
+    w = next(w for h, w in component_basis(2, 4, md) if h == 3)
+    ts = TreeSum.single(2, 3, standard_bracketing(w))
     assert _eta_int_vector(ts, md) == diagram_rows(2, md)[0]
     with pytest.raises(ValueError, match="not integral"):
         _eta_int_vector(ts * Fraction(1, 2), md)
-    # the caterpillar has content md, so a same-degree md misses its terms
+    # the join has content md, so a same-degree md misses its terms
     with pytest.raises(ValueError, match="outside"):
         _eta_int_vector(ts, (2, 1, 1, 2))
 
