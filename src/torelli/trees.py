@@ -24,24 +24,14 @@ Degree of a diagram = number of trivalent vertices = total leaves - 2.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .exact_linalg import hnf, quotient_diagonal, solve_integer_combination
-from .lie import (MAX_CLASS, ContextMismatch, LieElement, SparseCombination,
-                  _lyndon_words_of_content, _numerators, _over, evaluate,
-                  get_context, standard_bracketing, t_add_into, tree_size)
+from .lie import (LieElement, SparseCombination, _lyndon_words_of_content,
+                  _numerators, _over, evaluate, get_context,
+                  standard_bracketing, t_add_into, tree_size)
 from .sp_mod2 import tree_mod2_bits
-
-
-def lie_lift(ctx, x):
-    """Copy a Lie element into another context of the same genus, truncating."""
-    if x.ctx is ctx:
-        return x
-    if x.ctx.genus != ctx.genus:
-        raise ContextMismatch(f"cannot lift genus {x.ctx.genus} into genus "
-                              f"{ctx.genus}")
-    return LieElement(ctx, {w: c for w, c in x.terms.items()
-                            if len(w) <= ctx.max_degree})
 
 
 def omega_pairing(genus, x, y):
@@ -259,11 +249,13 @@ def join(x, y, allow_degree0=False):
 class DerivationElement(SparseCombination):
     """Element of H tensor L_{degree+1}: sparse map (letter, word) -> exact
     rational coefficient, an `int` or a `Fraction`.  The images that
-    `TreeSum.eta_graded` returns are an `int` wherever integral; `+`, `-`, a
-    scalar `*` and `bracket` may leave a `Fraction(n, 1)`, which compares,
-    hashes, prints and serializes like `n`.
+    `TreeSum.eta_graded` returns are an `int` wherever integral; `+`, `-` and
+    a scalar `*` may leave a `Fraction(n, 1)`, which compares, hashes, prints
+    and serializes like `n`.
 
     Under h |-> omega(h, -) this is the derivation z |-> sum omega(h, z) * w.
+    Derivations are bracketed as tree sums (`TreeSum.bracket`, then `eta`);
+    there is no bracket on this side.
     """
 
     __slots__ = ("genus", "degree", "terms")
@@ -294,59 +286,6 @@ class DerivationElement(SparseCombination):
         h, s = _omega_dual(self.genus, z)
         return LieElement(ctx, {w: s * c for (k, w), c in self.terms.items()
                                 if k == h})
-
-    def bracket(self, other):
-        """Commutator of the associated derivations, back in H tensor L form.
-
-        The degrees may differ; only the genus must agree."""
-        g = self.genus
-        if other.genus != g:
-            raise ContextMismatch(f"genus {g} vs {other.genus}")
-        k = self.degree + other.degree
-        if k + 1 > MAX_CLASS:
-            raise ValueError(
-                f"derivation commutator of degrees {self.degree} and "
-                f"{other.degree} lands beyond the supported class")
-        ctx = get_context(g, k + 1)
-        terms = {}
-        for z in range(1, 2 * g + 1):
-            val = (self.apply_in(ctx, other.value_on_letter(z))
-                   - other.apply_in(ctx, self.value_on_letter(z)))
-            if val.is_zero():
-                continue
-            h, sign = _omega_dual(g, z)
-            t_add_into(terms, {(h, w): c for w, c in val.terms.items()}, sign)
-        return DerivationElement(g, k, terms)
-
-    def apply_in(self, ctx, x):
-        """Apply the derivation to x, computing in the given (larger) context:
-        each standard bracketing of x is evaluated on the pairs (u, Du) under
-        the Leibniz rule [(u, Du), (v, Dv)] = ([u, v], [Du, v] + [u, Dv])."""
-        def leaf(z):
-            return ctx.generator(z), lie_lift(ctx, self.value_on_letter(z))
-
-        def leibniz(left, right):
-            (u, du), (v, dv) = left, right
-            return u.bracket(v), du.bracket(v) + u.bracket(dv)
-
-        memo, out = {}, {}
-        for c, tree in lie_lift(ctx, x).rooted_terms():
-            t_add_into(out, evaluate(tree, leaf, leibniz, memo)[1].terms, c)
-        return LieElement(ctx, out)
-
-    def bracket_map_image(self):
-        """Image under H tensor L_{k+1} -> L_{k+2}; zero iff symplectic."""
-        ctx = get_context(self.genus, self.degree + 2)
-        out = {}
-        for (h, w), c in self.terms.items():
-            t_add_into(out, ctx.generator(h).bracket(ctx.monomial(w)).terms, c)
-        return LieElement(ctx, out)
-
-    def is_symplectic(self):
-        if self.degree + 2 > MAX_CLASS:
-            raise ValueError("bracket-map check unavailable beyond degree 3; "
-                             "use the degree-4 lattice membership instead")
-        return self.bracket_map_image().is_zero()
 
     def components(self):
         """The terms split by multidegree in one pass: {md: {key: coeff}}."""
@@ -564,8 +503,12 @@ def all_multidegrees(genus, total):
 
 
 def lcst_full_diagonals(genus):
-    """Invariant factors of the full degree-4 quotient, all components combined."""
-    out = []
-    for md in all_multidegrees(genus, 6):
-        out.extend(d for d in lcst_component_diagonal(genus, md))
-    return sorted(out)
+    """Invariant factors of the full degree-4 quotient, all components
+    combined.  A permutation of the letters is an automorphism of the free
+    Lie ring that commutes with eta, so a component's factors depend only on
+    its shape, md sorted in descending order: each shape is computed once and
+    counted once per multidegree of that shape."""
+    shapes = Counter(tuple(sorted(md, reverse=True))
+                     for md in all_multidegrees(genus, 6))
+    return sorted(d for shape, count in shapes.items()
+                  for d in lcst_component_diagonal(genus, shape) * count)

@@ -12,6 +12,13 @@ bracketing, whose expansion has coefficient 1 on that word, so decomposing
 never divides).  The engine computes BCH, `theta` and Morita's trace with
 brackets only; these functions recompute them through the associative
 structure instead.
+
+A derivation in H tensor L form acts on the tensor algebra letter by letter
+(`derivation_values`, `apply_derivation`).  `derivation_bracket` is the
+commutator of two such actions and `is_symplectic` tests sum c (h w - w h)
+= 0; the engine brackets derivations only as tree sums, through eta, so
+these are the reference for criterion 10c.  Nothing here calls a bracket of
+the engine.
 """
 
 from functools import lru_cache
@@ -136,3 +143,57 @@ def to_tensor(x):
     for w, c in num.items():
         t_add_into(out, _expansion(w), c)
     return out, den
+
+
+# --- derivations in H tensor L, read as derivations of the tensor algebra ----
+
+def _partner(genus, x):
+    """The one letter y with omega(x, y) != 0, and omega(x, y)."""
+    return (x + genus, 1) if x <= genus else (x - genus, -1)
+
+
+def derivation_values(d):
+    """{letter z: tensor expansion of D(z)} of a derivation given in H tensor
+    L form (`.genus`, `.terms`): a term ((h, w), c) is z |-> omega(h, z) c w
+    on the partner z of h."""
+    values = {}
+    for (h, w), c in d.terms.items():
+        z, s = _partner(d.genus, h)
+        t_add_into(values.setdefault(z, {}), _expansion(w), s * c)
+    return values
+
+
+def apply_derivation(values, poly):
+    """D applied to a tensor polynomial as a derivation: each letter of each
+    word is replaced by its value in turn."""
+    out = {}
+    for word, c in poly.items():
+        for i, z in enumerate(word):
+            t_add_into(out, {word[:i] + w + word[i + 1:]: x
+                             for w, x in values.get(z, {}).items()}, c)
+    return out
+
+
+def derivation_bracket(d1, d2):
+    """The terms map of [D1, D2] in H tensor L form: [D1, D2](z) =
+    D1(D2 z) - D2(D1 z) in tensors, decomposed in the Lyndon basis (which
+    raises unless it is a Lie element) and keyed by the omega-dual of z."""
+    v1, v2 = derivation_values(d1), derivation_values(d2)
+    terms = {}
+    for z in range(1, 2 * d1.genus + 1):
+        val = apply_derivation(v1, v2.get(z, {}))
+        t_add_into(val, apply_derivation(v2, v1.get(z, {})), -1)
+        h, s = _partner(d1.genus, z)
+        terms.update(((h, w), -s * c) for w, c in decompose(val).items())
+    return terms
+
+
+def is_symplectic(d):
+    """Whether sum c (h w - w h) over the terms ((h, w), c) vanishes in
+    tensors, i.e. whether D kills omega."""
+    out = {}
+    for (h, w), c in d.terms.items():
+        p, n = _expansion(w), len(w) + 1
+        t_add_into(out, t_mul({(h,): 1}, p, n), c)
+        t_add_into(out, t_mul(p, {(h,): 1}, n), -c)
+    return not out

@@ -1,15 +1,20 @@
 """Dead-import check: every module-level import of the package modules and
 the tests is read somewhere in its file.  The package `__init__` is left out
 because its imports are the public names it re-exports.  Also: every layer
-function that the benchmark's tracer wraps by name still exists, and no
-engine module names a retired function: the tensor algebra (that lives in
-`tests/tensor_oracle.py`) or the caterpillar family of the tree lattices."""
+function that the benchmark's tracer wraps by name still exists; no engine
+module names a retired function: the tensor algebra (that lives in
+`tests/tensor_oracle.py`), the caterpillar family of the tree lattices or
+the derivation action; and the tensor oracle imports from the engine only
+the numerator and Lyndon-word helpers it names, none of the engine's
+bracket structure constants."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+from torelli.trees import DerivationElement
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in (ROOT / "src" / "torelli").glob("*.py")
@@ -64,10 +69,14 @@ RETIRED_NAMES = {
     # family of caterpillar colorings is listed
     **dict.fromkeys(("basis_colored_trees", "_colorings", "_nest"),
                     "caterpillar family"),
+    # derivations are bracketed as tree sums; the derivation-side bracket is
+    # the reference in tests/tensor_oracle.py
+    **dict.fromkeys(("apply_in", "lie_lift", "bracket_map_image",
+                     "is_symplectic"), "derivation action"),
 }
 
 
-def test_engine_has_no_tensor_layer():
+def test_engine_names_no_retired_name():
     # no engine module defines, imports or names a retired name
     for path in sorted((ROOT / "src" / "torelli").glob("*.py")):
         names = set()
@@ -82,3 +91,31 @@ def test_engine_has_no_tensor_layer():
                           else node.attr)
         found = {n: RETIRED_NAMES[n] for n in names & RETIRED_NAMES.keys()}
         assert not found, (path.name, found)
+
+
+def test_derivation_element_has_no_bracket():
+    # the name cannot be retired outright, since TreeSum.bracket keeps it
+    assert not hasattr(DerivationElement, "bracket")
+
+
+# the only engine names the tensor oracle may import: none of them brackets,
+# so the oracle shares no structure constants with the engine it checks
+ORACLE_IMPORTS = {("torelli.lie", n) for n in (
+    "_numerators", "_over", "is_lyndon", "standard_bracketing", "t_add_into",
+    "tree_size")}
+
+
+def engine_imports(source):
+    """(module, name) of every import of the engine package in the source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            out.update((node.module, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update((a.name, None) for a in node.names)
+    return {(m, n) for m, n in out if m.split(".")[0] == "torelli"}
+
+
+def test_tensor_oracle_imports_no_engine_bracket():
+    source = (ROOT / "tests" / "tensor_oracle.py").read_text()
+    assert engine_imports(source) == ORACLE_IMPORTS

@@ -183,15 +183,12 @@ def test_range_and_space_checks_survive_optimize():
     code = (
         "from torelli.lie import ContextMismatch, get_context\n"
         "from torelli.mcg import GradedValue\n"
-        "from torelli.trees import lie_lift\n"
         "ctx = get_context(3, 3)\n"
-        "a1 = ctx.gen_a(1)\n"
         "checks = {\n"
         "    'lyndon_basis': lambda: ctx.lyndon_basis(0),\n"
         "    'gen_a': lambda: ctx.gen_a(4),\n"
         "    'gen_b': lambda: ctx.gen_b(0),\n"
         "    'generator': lambda: ctx.generator(0),\n"
-        "    'lie_lift': lambda: lie_lift(get_context(2, 3), a1),\n"
         "    'add': lambda: GradedValue.zero(2) + GradedValue.zero(3),\n"
         "    'bracket': lambda: GradedValue.zero(2).bracket(GradedValue.zero(3)),\n"
         "}\n"
@@ -206,8 +203,7 @@ def test_range_and_space_checks_survive_optimize():
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n") == [
         "lyndon_basis ValueError", "gen_a ValueError", "gen_b ValueError",
-        "generator ValueError",
-        "lie_lift ContextMismatch", "add ContextMismatch",
+        "generator ValueError", "add ContextMismatch",
         "bracket ContextMismatch", ""]
 
 

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import (SEED, independent_eta, rand_coeff, rand_homogeneous,
-                      rand_lie, rand_tree_sum, run_python)
-from torelli.exact_linalg import hnf, rational_rank, solve_rational_combination
-from torelli.lie import (MAX_CLASS, ContextMismatch, LieElement, get_context,
-                         standard_bracketing, t_add_into, tree_size,
-                         witt_rank)
+from conftest import (SEED, independent_eta, rand_homogeneous, rand_tree_sum,
+                      run_python)
+from tensor_oracle import (apply_derivation, derivation_bracket,
+                           derivation_values, is_symplectic, to_tensor)
+from torelli.exact_linalg import (_RowAccumulator, hnf, rational_rank,
+                                  solve_rational_combination)
+from torelli.lie import (ContextMismatch, LieElement, _bracket_words,
+                         _lyndon_words_of_content, get_context,
+                         standard_bracketing, t_add_into, tree_size, witt_rank)
 from torelli.mcg import tr3
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
 from torelli.trees import (DerivationElement, TreeSum, _eta_int_vector,
@@ -125,11 +128,12 @@ def test_bracket_compatibility(rng):
         lhs = p.bracket(q).eta_graded()
         d1 = p.eta()
         d2 = q.eta()
-        rhs = d1.bracket(d2)
-        if rhs.is_zero():
+        rhs = derivation_bracket(d1, d2)
+        if not rhs:
             assert all(v.is_zero() for v in lhs.values())
         else:
-            assert lhs == {rhs.degree: rhs}
+            degree = d1.degree + d2.degree
+            assert lhs == {degree: DerivationElement(genus, degree, rhs)}
 
 
 def test_bracket_of_asymptotic_colors_vanishes():
@@ -150,17 +154,16 @@ def test_contract_antisymmetrization_is_bracket(rng):
 
 
 def test_derivation_bracket_properties(rng):
-    ctx = get_context(2, 3)
     for _ in range(100):
         p = rand_tree_sum(2, rng, 1)
         q = rand_tree_sum(2, rng, 2)
         if not p.terms or not q.terms:
             continue
         d1, d2 = p.eta(), q.eta()
-        assert d1.bracket(d1).is_zero()
-        br = d1.bracket(d2)
-        assert br.degree == d1.degree + d2.degree
-        assert d2.bracket(d1) == -br
+        assert not derivation_bracket(d1, d1)
+        br = derivation_bracket(d1, d2)
+        assert all(len(w) == d1.degree + d2.degree + 1 for _h, w in br)
+        assert derivation_bracket(d2, d1) == {k: -c for k, c in br.items()}
 
 
 def test_derivation_is_symplectic(rng):
@@ -169,7 +172,7 @@ def test_derivation_is_symplectic(rng):
         ts = rand_tree_sum(2, rng, rng.choice((1, 2, 3)))
         if not ts.terms:
             continue
-        assert ts.eta().is_symplectic()
+        assert is_symplectic(ts.eta())
 
 
 def test_component_basis_dimension():
@@ -323,6 +326,19 @@ def test_lcst_full_quotient_at_genus3():
     assert diag.count(2) == 70 == witt_rank(6, 3)
 
 
+def test_lcst_full_quotient_computes_each_shape_once(monkeypatch):
+    # one component per shape (9 at genus 2), not one per multidegree (84)
+    calls = []
+
+    def counting(genus, md):
+        calls.append(md)
+        return lcst_component_diagonal(genus, md)
+
+    monkeypatch.setattr("torelli.trees.lcst_component_diagonal", counting)
+    assert lcst_full_diagonals(2).count(2) == 20
+    assert len(calls) == 9
+
+
 def _partitions(n, parts, largest=None):
     """The partitions of n into at most `parts` parts, each padded with
     zeros to `parts` entries, in decreasing order."""
@@ -430,7 +446,7 @@ def _fixed_end_caterpillars(genus, md):
 @pytest.mark.parametrize("genus, degrees", [
     (1, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2, 3)),
 ], ids=["genus1", "genus2", "genus3"])
-def test_fixed_end_caterpillars_span_all_caterpillars(genus, degrees):
+def test_rarest_color_rows_span_all_caterpillars(genus, degrees):
     # oracle: the rows of the joins on the rarest color generate the lattice
     # of every caterpillar coloring
     for degree in degrees:
@@ -470,6 +486,43 @@ def test_degree4_presentation_against_caterpillars_and_nested_halves(genus,
                   + _nested_half_rows(genus, md))
         assert (hnf(degree4_presentation(genus, md)[0], ambient_dim=dim).rows
                 == hnf(oracle, ambient_dim=dim).rows), md
+
+
+def _integer_kernel(images, width):
+    """A Z-basis of the kernel of e_i |-> images[i] on Z^width: the graph
+    rows images[i] | e_i echelonized on every column, and of them the rows
+    whose image part is zero.  (With the e_i carried rather than pivoted,
+    the accumulator would drop those rows.)"""
+    n = len(images)
+    acc = _RowAccumulator(width + n, (
+        tuple(image) + (0,) * i + (1,) + (0,) * (n - i - 1)
+        for i, image in enumerate(images)))
+    return [row[width:] for row in acc.rows if not any(row[:width])]
+
+
+def test_degree4_presentation_is_the_kernel_of_the_bracket_map():
+    # oracle: the integral symplectic derivations of a component are the
+    # integer kernel of (h, w) |-> [h, w], from H tensor L_{k+1} to L_{k+2};
+    # the presentation generates it at every degree 1-4, on every shape of
+    # genus 3 with a nonempty component
+    sympy = pytest.importorskip("sympy")
+    for degree in range(1, 5):
+        for md in _partitions(degree + 2, 6):
+            basis = component_basis(3, degree, md)
+            if not basis:
+                continue
+            index = {w: j for j, w in enumerate(_lyndon_words_of_content(md))}
+            images = []
+            for h, w in basis:
+                image = [0] * len(index)
+                for u, c in _bracket_words((h,), w).items():
+                    image[index[u]] = c
+                images.append(image)
+            kernel = _integer_kernel(images, len(index))
+            assert len(kernel) == len(basis) - sympy.Matrix(images).rank(), md
+            assert (hnf(kernel, ambient_dim=len(basis)).rows
+                    == hnf(degree4_presentation(3, md)[0],
+                           ambient_dim=len(basis)).rows), md
 
 
 def _rand_tree(rng, leaves, letters):
@@ -655,40 +708,16 @@ def test_bracket_multidegrees_are_predictable(rng):
 
 
 def test_eta_images_annihilate_omega(rng):
-    # as derivations of the free Lie algebra, eta images kill the symplectic
-    # element: a route through apply_in() independent of the bracket-map test
+    # as derivations of the tensor algebra, eta images kill the symplectic
+    # element: a route through D(omega) independent of the bracket-map test
     for _ in range(50):
         genus = 2
         ts = rand_tree_sum(genus, rng, rng.choice((1, 2)))
         if not ts.terms:
             continue
         dv = ts.eta()
-        ctx = get_context(genus, dv.degree + 2)
-        assert dv.apply_in(ctx, ctx.omega()).is_zero()
-
-
-def test_apply_in_is_a_derivation():
-    # D[x, y] = [Dx, y] + [x, Dy] for random derivations D, symplectic or
-    # not.  This holds however [x, y] is re-bracketed in the Lyndon basis, so
-    # it checks the Leibniz walk of apply_in on the trees that come out.
-    rng = random.Random(SEED)
-    genus = 2
-    ctx = get_context(genus, MAX_CLASS)
-    nonzero = 0
-    for _ in range(200):
-        degree = rng.randint(1, 3)
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            key = (rng.randint(1, 2 * genus),
-                   rng.choice(ctx.lyndon_basis(degree + 1)))
-            t_add_into(terms, {key: rand_coeff(rng)})
-        d = DerivationElement(genus, degree, terms)
-        x, y = (rand_lie(ctx, rng, terms=2, max_degree=2) for _ in range(2))
-        lhs = d.apply_in(ctx, x.bracket(y))
-        assert lhs == (d.apply_in(ctx, x).bracket(y)
-                       + x.bracket(d.apply_in(ctx, y)))
-        nonzero += not lhs.is_zero()
-    assert nonzero > 100
+        omega, _den = to_tensor(get_context(genus, dv.degree + 2).omega())
+        assert not apply_derivation(derivation_values(dv), omega)
 
 
 # --- the shared linear operations -----------------------------------------
