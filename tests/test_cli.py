@@ -369,6 +369,62 @@ def _cli_subprocess(*argv, optimize=False):
     return run_python("-m", "torelli.cli", *argv, optimize=optimize)
 
 
+_ARGPARSE_CASES = [
+    (["--help"],
+     "2a0a2894025d195ff35bac64f3abb210071f8753338fd7b3b0c924d92c5bb7ea"),
+    (["verify", "--help"],
+     "efe1792d7500c3dba32c7f10a1ebb419f2c70f13c400ffc1e54ac4ad9cec94bd"),
+    (["theta", "--help"],
+     "e435e4c74573cf349206f60826c1d3560866b9232e6837f53758948afd81801c"),
+    (["ranks", "--help"],
+     "dbeac516e326fa630acdaa7c4b32d6ae2b60813bca5c0453ed42140f171a63a7"),
+    (["compose", "--help"],
+     "915f6cecc556e85e31ed420a0315b1d36d9153fbb67dbfebc0147a35dcbe355e"),
+    (["R", "--help"],
+     "2f2cdd98c06fc5376a8d429f943d0d472962b9d5bb2fbcdf11831b5d03a6b45f"),
+    (["verify", "symplectic", "--help"],
+     "f827d133b474ffce5de5ea773e2c92574ac17817410b96f34e9962e9d1ed7079"),
+    (["verify", "theorem-b", "--help"],
+     "2964970761bb27c8472361bcfcc0af2f5af868ce70f39179aa648bc7f392b816"),
+    (["verify", "lcst", "--help"],
+     "25fb4a81135c058ddbc0dfca4a73226b338c83551a65b814925cdcd4cf48c139"),
+    (["verify", "sp-kernel", "--help"],
+     "e822d457c31fa7e7a22381e6dc6f77003e8038f58d9a134d9eaee1bf00793be5"),
+    (["verify", "lower-bounds", "--help"],
+     "e968fff3c39d758ece9ae4f8fb345fceaec0a655b84f42c42258b558118f46a9"),
+    ([],
+     "4151e59c88cd9a783393762f7f36cffe9b422ef34b03ad4b6981d816ac1886bc"),
+    (["bogus"],
+     "5b60fb34c7d0b8e0f957de33ba37e0fd8b552ef763eca86803f326a5a009c663"),
+    (["verify"],
+     "c25260892691842f7b73ac550114282160c52d09d0c96e162bfa2833da5ae29d"),
+    (["verify", "bogus"],
+     "22965d533e29821c54f6bd0d6bf148f31f3f4e481119ba46c4d191ecdd39578c"),
+    (["ranks", "--degree", "9"],
+     "5d110eb2cab9320ba609aeb9a38856613578cdf587e5bf40ac5c306aac176f74"),
+    (["verify", "sp-kernel", "--genus", "x"],
+     "e414f3a26da88db056028ecf11a8ddf61b107dbc2b5c3505108710e7f7424d64"),
+    (["verify", "sp-kernel", "--format", "xml"],
+     "f74b03374696018d02eb433119c7440aa56f94f70cad463a5a3b69e8c1c4e344"),
+    (["verify", "sp-kernel", "--genus", "3", "extra"],
+     "a3a1aa38c340141b5aa26de9aa3be29393c9c5140b5bcc1e586907acf29fcb28"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests are of the wording of argparse 3.11")
+@pytest.mark.parametrize("argv, digest", _ARGPARSE_CASES, ids=[
+    " ".join(argv) or "no-command" for argv, _ in _ARGPARSE_CASES])
+def test_argparse_bytes_are_pinned(argv, digest):
+    # the exit code, stdout and stderr of every help page and of the argparse
+    # errors at each level of the command tree, as argparse of Python 3.11
+    # prints them at its default width of 80 columns (no terminal, no
+    # COLUMNS); the usage lines list every command of their level
+    run = _cli_subprocess(*argv)
+    got = json.dumps([run.returncode, run.stdout, run.stderr])
+    assert hashlib.sha256(got.encode()).hexdigest() == digest, got
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_stdout_is_not_an_error(fmt):
     # a reader that takes 10 bytes and closes the pipe, like `| head -c 10`;
