@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Each subcommand declares its genus cap (`_MAX_GENUS` or
-`_SP_KERNEL_MAX_GENUS`, with their measured bases below) and its default
---degree in `make_parser`, and takes only the options it uses, so argparse
-refuses an ignored --genus or --degree; the library raises the lower genus
-bounds of the mathematics.  A handler only computes and yields (ok, record,
-text), ok being a check's verdict or None for a report; `main` alone refuses
-a genus above the cap before the handler runs, emits each triple as it comes
-and picks the exit code.
+`main` builds only the parsers on the path of the command argv names (all
+of them for help or a bad command); the usage lines name every command.
+Each command declares in `_COMMANDS` its genus cap (`_MAX_GENUS` or
+`_SP_KERNEL_MAX_GENUS`, measured below) and default --degree, and takes only
+the options it uses, so argparse refuses an ignored --genus or --degree; the
+library raises the lower genus bounds.  A handler only computes and yields
+(ok, record, text), ok a check's verdict or None for a report; `main` alone
+refuses a genus over the cap first, emits each triple, picks the exit code.
 
 Exit codes: 0 success/pass, 1 verification mismatch, 2 malformed input or an
 option the command does not use, 3 capability/precondition errors (degree
@@ -34,10 +34,9 @@ PASS, MISMATCH, INPUT_ERROR, CAPABILITY_ERROR = 0, 1, 2, 3
 # Deepest factor nesting of a spec, far beyond any real product of twists;
 # it keeps parsing and evaluation well inside Python's recursion limit.
 _SPEC_MAX_DEPTH = 100
-# Largest genus of verify sp-kernel: the span and kernel have dimension 4576 /
-# 7280 / 10880 at genus 12 / 14 / 16; a cold run took 0.35-0.53 / 0.69-1.0 /
-# 1.5-2.1 s with a 31 / 50 / 90 MB peak (genus 17: 1.9-2.4 s, 120 MB; 18:
-# 2.7-3.9 s, 160 MB) on a 2-core x86-64 machine with Python 3.11.
+# Largest genus of verify sp-kernel: span = kernel, of dimension 4576 / 7280 /
+# 10880 at genus 12 / 14 / 16; cold, 0.25-0.27 / 0.48-0.53 / 1.1-1.35 s with a
+# 30 / 48 / 84 MB peak (17: 1.7 s, 110 MB) on 2-core x86-64 with Python 3.11.
 _SP_KERNEL_MAX_GENUS = 16
 # Largest genus of theta, compose, R, verify symplectic, theorem-b and
 # lcst --md, and largest --max-genus of verify lower-bounds.  Measured cold
@@ -329,49 +328,60 @@ def cmd_verify_lower_bounds(args):
                f"g={g}: bordered 2^{bordered}, closed 2^{closed}")
 
 
-def make_parser():
+# Each command by its path, in usage order: handler, cap (None: none), default
+# --degree (None: no --degree), capped option, extra argument, help.
+_COMMANDS = {
+    ("theta",): (cmd_theta, _MAX_GENUS, (3,), "genus", ("word", {}),
+                 "print the expansion of a group word"),
+    ("ranks",): (cmd_ranks, None, None, "genus", None,
+                 "rank table of the graded pieces"),
+    ("compose",): (cmd_compose, _MAX_GENUS, (3,), "genus", ("spec", {}),
+                   "compose a JSON factor spec"),
+    ("R",): (cmd_r, _MAX_GENUS, (4,), "genus", ("spec", {}),
+             "mod-1 class of the degree-4 part of a spec"),
+    ("verify", "symplectic"): (cmd_verify_symplectic, _MAX_GENUS, (3, 4)),
+    ("verify", "theorem-b"): (cmd_verify_theorem_b, _MAX_GENUS, (3,)),
+    ("verify", "lcst"): (cmd_verify_lcst, _MAX_GENUS, None, "genus", ("--md", {
+        "help": "comma-separated multidegree for a single component"})),
+    ("verify", "sp-kernel"): (cmd_verify_sp_kernel, _SP_KERNEL_MAX_GENUS),
+    ("verify", "lower-bounds"): (
+        cmd_verify_lower_bounds, _MAX_GENUS, None, "max_genus",
+        ("--max-genus", {"type": int, "default": 8})),
+}
+
+
+def make_parser(argv=()):
+    leaf = next((p for p in _COMMANDS if tuple(argv[:len(p)]) == p), None)
+
+    def group(parser, dest, depth):
+        names = dict.fromkeys(p[depth] for p in _COMMANDS if len(p) > depth)
+        return parser.add_subparsers(dest=dest, required=True, metavar=leaf
+                                     and "{" + ",".join(names) + "}")
+
     def command(subparsers, name, func, cap, degrees=None, capped="genus",
-                **kwargs):
-        """A subcommand whose `capped` option may not exceed `cap` (None: no
-        cap) and whose expansion runs at `degrees` when --degree is absent.
-        It takes --genus only when `capped` is the genus and --degree only
-        when it declares `degrees`, so argparse refuses an option the
-        command would ignore (exit 2)."""
-        p = subparsers.add_parser(name, **kwargs)
+                extra=None, help=None):
+        p = subparsers.add_parser(name, **({"help": help} if help else {}))
         if capped == "genus":
             p.add_argument("--genus", type=int, default=3)
         if degrees is not None:
             p.add_argument("--degree", type=int, default=None,
                            help="nilpotency class for the expansion (2..4)")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        if extra:
+            p.add_argument(extra[0], **extra[1])
         p.set_defaults(func=func, genus_cap=(capped, cap),
                        default_degrees=degrees)
-        return p
 
     parser = argparse.ArgumentParser(
         prog="torelli",
         description="Exact computations with tree diagrams, symplectic "
                     "expansions and Johnson homomorphisms.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    command(sub, "theta", cmd_theta, _MAX_GENUS, (3,),
-            help="print the expansion of a group word").add_argument("word")
-    command(sub, "ranks", cmd_ranks, None, help="rank table of the graded pieces")
-    command(sub, "compose", cmd_compose, _MAX_GENUS, (3,),
-            help="compose a JSON factor spec").add_argument("spec")
-    command(sub, "R", cmd_r, _MAX_GENUS, (4,),
-            help="mod-1 class of the degree-4 part of a spec").add_argument("spec")
-
-    vsub = sub.add_parser("verify", help="run a verification").add_subparsers(
-        dest="check", required=True)
-    command(vsub, "symplectic", cmd_verify_symplectic, _MAX_GENUS, (3, 4))
-    command(vsub, "theorem-b", cmd_verify_theorem_b, _MAX_GENUS, (3,))
-    command(vsub, "lcst", cmd_verify_lcst, _MAX_GENUS).add_argument(
-        "--md", default=None,
-        help="comma-separated multidegree for a single component")
-    command(vsub, "sp-kernel", cmd_verify_sp_kernel, _SP_KERNEL_MAX_GENUS)
-    command(vsub, "lower-bounds", cmd_verify_lower_bounds, _MAX_GENUS,
-            capped="max_genus").add_argument("--max-genus", type=int, default=8)
+    sub, vsub = group(parser, "command", 0), None
+    for path in [leaf] if leaf else _COMMANDS:
+        if len(path) > 1 and vsub is None:
+            vsub = group(sub.add_parser("verify", help="run a verification"),
+                         "check", 1)
+        command(vsub if len(path) > 1 else sub, path[-1], *_COMMANDS[path])
     return parser
 
 
@@ -389,7 +399,7 @@ def _refuse_genus(args):
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = make_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     out = _Out(args.format)
     passed = True
     try:

@@ -9,7 +9,9 @@ pure; a Mod2Subspace is the one mutable object, growing by add.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import ne
 
 
 class DimensionMismatch(ValueError):
@@ -444,12 +446,21 @@ def gf2_span_closure(seeds, actions, ambient_dim):
     basis vectors outside its moved mask, so N(v) = T(u) - u with u the part
     of v on that mask.  Returns the span as it grew, in semi-echelon form.
     """
+    units = [1 << i for i in range(ambient_dim)]
     moved = []
     for act in actions:
-        if len(act) != ambient_dim or max(act, default=0) >> ambient_dim:
+        if len(act) != ambient_dim:
             raise DimensionMismatch("action is not a map of the ambient space")
-        mask = sum(1 << i for i, image in enumerate(act) if image != 1 << i)
+        # one pass finds the moved basis vectors; an image equal to its unit
+        # fits, so only the moved images need the width check
+        mask = 0
+        for i in compress(range(ambient_dim), map(ne, act, units)):
+            if act[i] >> ambient_dim:
+                raise DimensionMismatch("action is not a map of the ambient "
+                                        "space")
+            mask |= units[i]
         moved.append((act, mask))
+    del units  # as large as a full span: not kept while the span grows
     span = Mod2Subspace(ambient_dim)
     work = [w for w in map(span._insert, seeds) if w]
     for v in work:  # the loop also visits the rows appended in it

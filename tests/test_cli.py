@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import fcntl
 import hashlib
@@ -423,6 +424,26 @@ def test_argparse_bytes_are_pinned(argv, digest):
     run = _cli_subprocess(*argv)
     got = json.dumps([run.returncode, run.stdout, run.stderr])
     assert hashlib.sha256(got.encode()).hexdigest() == digest, got
+
+
+def test_leaf_command_builds_only_its_path(capsys, monkeypatch):
+    # a named leaf command builds the top level, verify and itself, not the
+    # parsers of the other commands; without argv, main reads sys.argv
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["verify", "sp-kernel", "--genus", "3", "--format", "json"]
+    assert main(argv) == 0
+    assert len(built) <= 3, built
+    monkeypatch.setattr(sys, "argv", ["torelli", *argv])
+    assert main() == 0
+    out = capsys.readouterr().out.split("\n]\n")
+    assert out[0] == out[1] and json.loads(out[0] + "]")[0]["span_dim"] == 64
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

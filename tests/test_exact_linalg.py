@@ -325,11 +325,12 @@ def test_gf2_kernel():
 
 
 def test_gf2_width_checks_survive_optimize():
-    # a seed or an action image wider than the ambient space and an image
-    # wider than the codomain are refused by explicit raises, so python -O
-    # refuses them too
+    # a seed or an action image wider than the ambient space, an action of
+    # the wrong length and an image wider than the codomain are refused by
+    # explicit raises, so python -O refuses them too
     calls = ["gf2_span_closure([0b1000], [(1, 2, 4)], 3)",
              "gf2_span_closure([0b001], [(1, 2, 0b1000)], 3)",
+             "gf2_span_closure([0b001], [(1, 2)], 3)",
              "gf2_kernel((0b01, 0b100, 0b10), 3, 2)"]
     code = ("from torelli.exact_linalg import (DimensionMismatch, gf2_kernel,"
             " gf2_span_closure)\n") + "".join(
@@ -337,7 +338,7 @@ def test_gf2_width_checks_survive_optimize():
         for i, call in enumerate(calls))
     run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0", "1", "2"]
+    assert run.stdout.split() == ["0", "1", "2", "3"]
 
 
 def test_gf2_reduce_and_membership():

@@ -9,13 +9,12 @@ from conftest import SEED, run_python
 from torelli.exact_linalg import Mod2Subspace, gf2_apply, gf2_kernel
 from torelli.lie import (DegreeCapError, get_context, lyndon_words,
                          standard_bracketing, witt_rank)
-from torelli.sp_mod2 import (SpTransformation, _bracket3, _l3_basis,
-                             _l3_index, _l3_triples, action_matrix,
-                             l3_mod2_bits, lower_bound_exponents,
-                             omega_bracket_bits, orbit_span, project_l3_to_a,
-                             standard_generators, stigma, stigma_kernel,
-                             transvection, tree_mod2_bits, verify_kernel_lemma,
-                             verify_ses)
+from torelli.sp_mod2 import (SpTransformation, _l3_basis, _l3_index,
+                             _l3_triples, action_matrix, l3_mod2_bits,
+                             lower_bound_exponents, omega_bracket_bits,
+                             orbit_span, project_l3_to_a, standard_generators,
+                             stigma, stigma_kernel, transvection,
+                             tree_mod2_bits, verify_kernel_lemma, verify_ses)
 
 
 # --- the closed form of the L_3 basis ----------------------------------------
@@ -318,6 +317,10 @@ def test_verify_ses():
 def test_kernel_lemma(g):
     ok, span_dim, ker_dim = verify_kernel_lemma(g)
     assert ok and span_dim == ker_dim == witt_rank(2 * g, 3) - 2 * g
+    # the verdict compares ranks only; the full comparison of the canonical
+    # RREF rows must agree with it
+    seed = tree_mod2_bits(g, ((1, 2), 3))
+    assert orbit_span(g, seed) == stigma_kernel(g)
     if g == 3:
         assert span_dim == 64
 
@@ -364,7 +367,7 @@ def test_kernel_is_spanned_by_four_handle_elements(g, rank):
     words = list(_l3_basis(n))
 
     def r(x, j):
-        return _bracket3(n, x, j, g + j)
+        return tree_mod2_bits(g, ((x, j), g + j))
 
     elements = []
     for i, w in enumerate(words):
