@@ -409,9 +409,6 @@ def main(argv=None):
                 passed = passed and ok
                 text = f"{'PASS' if ok else 'FAIL'} {text}"
             out.emit(record, text)
-    except WordParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
     except (DegreeCapError, WindowUnderflow) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return CAPABILITY_ERROR

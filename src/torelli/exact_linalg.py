@@ -271,7 +271,7 @@ def rational_rank(rows):
 
 # --- rational row reduction ---------------------------------------------
 # No engine path eliminates over Q: rref and solve_rational_combination stay
-# as bench tracer targets and as the tests' reference for the degree-3 trace.
+# only as benchmark tracer targets and for their own unit tests.
 
 def rref(rows):
     """Reduced row echelon form over Q.  Returns (rows, pivot_cols) as tuples."""

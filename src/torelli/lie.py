@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import lcm
 
 from .exact_linalg import rational_rank
@@ -217,12 +216,6 @@ def _bracket_words(w1, w2):
 
 # --- two-letter series: BCH and its evaluation ------------------------------
 
-# B_2p / (2p)! for the Bernoulli numbers B_2 = 1/6 and B_4 = -1/30: the
-# recursion below reads B_2p only for 2p < N, so these serve every class
-# N <= MAX_CLASS.
-_BERNOULLI_WEIGHTS = {2: Fraction(1, 12), 4: Fraction(-1, 720)}
-
-
 @lru_cache(maxsize=None)
 def bch_series(cap):
     """log(e^x e^y) through degree cap on the letters x = 1, y = 2, as
@@ -234,20 +227,16 @@ def bch_series(cap):
       (n+1) Z_{n+1} = 1/2 [x - y, Z_n]
           + sum_{p >= 1} B_2p/(2p)! sum_{k_1+...+k_2p = n}
                 [Z_k1, [Z_k2, ..., [Z_k2p, x + y]...]],
-    the k_i positive, and log(e^x e^y) = Z_1 + ... + Z_cap.
+    the k_i positive, and log(e^x e^y) = Z_1 + ... + Z_cap.  B_4 would first
+    enter at class 6, which LieContext refuses, so only B_2/2! = 1/12 is used.
     """
     ctx = get_context(1, cap)
     x, y = ctx.generator(1), ctx.generator(2)
     z = [None, x + y]
     for n in range(1, cap):
         step = (x - y).bracket(z[n]) * Fraction(1, 2)
-        for parts, weight in _BERNOULLI_WEIGHTS.items():
-            for ks in product(range(1, n + 1), repeat=parts):
-                if sum(ks) == n:
-                    nested = z[1]
-                    for k in reversed(ks):
-                        nested = z[k].bracket(nested)
-                    step = step + nested * weight
+        for k in range(1, n):
+            step += z[k].bracket(z[n - k].bracket(z[1])) * Fraction(1, 12)
         z.append(step * Fraction(1, n + 1))
     terms = _over(*_numerators(sum(z[2:], z[1]).terms))
     return tuple((standard_bracketing(w), c) for w, c in sorted(terms.items()))

@@ -297,10 +297,6 @@ class DerivationElement(SparseCombination):
     def multidegrees(self):
         return sorted(self.components())
 
-    def component_vector(self, md):
-        return _place(self.genus, self.degree, md,
-                      self.components().get(md, {}))
-
     def to_json(self):
         ctx = get_context(self.genus, 1)
         out = []

@@ -73,6 +73,8 @@ RETIRED_NAMES = {
     # the reference in tests/tensor_oracle.py
     **dict.fromkeys(("apply_in", "lie_lift", "bracket_map_image",
                      "is_symplectic"), "derivation action"),
+    "_BERNOULLI_WEIGHTS": "BCH through class 5 needs only B_2",
+    "component_vector": "split derivations with _component_vectors",
 }
 
 

@@ -210,6 +210,10 @@ def test_range_and_space_checks_survive_optimize():
 def test_degree_cap():
     with pytest.raises(DegreeCapError):
         LieContext(2, 6)
+    # bch_series carries only the B_2 term of the recursion; B_4 first enters
+    # at class MAX_CLASS + 1, which must be refused rather than computed
+    with pytest.raises(DegreeCapError):
+        bch_series(MAX_CLASS + 1)
 
 
 def test_bch_examples():

@@ -11,15 +11,15 @@ from conftest import (SEED, independent_eta, rand_homogeneous, rand_tree_sum,
                       run_python)
 from tensor_oracle import (apply_derivation, derivation_bracket,
                            derivation_values, is_symplectic, to_tensor)
-from torelli.exact_linalg import (_RowAccumulator, hnf, rational_rank,
-                                  solve_rational_combination)
+from torelli.exact_linalg import _RowAccumulator, hnf, rational_rank
 from torelli.lie import (ContextMismatch, LieElement, _bracket_words,
                          _lyndon_words_of_content, get_context,
                          standard_bracketing, t_add_into, tree_size, witt_rank)
 from torelli.mcg import tr3
 from torelli.sp_mod2 import project_l3_to_a, tree_mod2_bits
-from torelli.trees import (DerivationElement, TreeSum, _eta_int_vector,
-                           all_multidegrees, canonical_tree, component_basis,
+from torelli.trees import (DerivationElement, TreeSum, _component_vectors,
+                           _eta_int_vector, _place, all_multidegrees,
+                           canonical_tree, component_basis,
                            degree4_presentation, diagram_rows, ell_pairing,
                            half_symmetric_generators, join,
                            join_leaf_decompositions, lcst_component_diagonal,
@@ -237,7 +237,7 @@ def test_degree4_lattice_membership_examples():
     md = (2, 2, 1, 1)
     lat = tree_lattice(genus, 4, md)
     for _c, ts in _fixed_end_caterpillars(genus, md):
-        assert lat.contains(ts.eta().component_vector(md))
+        assert lat.contains(_eta_int_vector(ts, md))
 
     even = (2, 2, 2, 0)
     halves = half_symmetric_generators(genus, even)
@@ -388,7 +388,7 @@ def _two_shape_rows(genus, md):
                      ((c[0], c[1]), ((c[2], c[3]), (c[4], c[5])))):
             ts = TreeSum.single(genus, u, v)
             if ts.terms:
-                rows.append([int(x) for x in ts.eta().component_vector(md)])
+                rows.append(_eta_int_vector(ts, md))
     return rows
 
 
@@ -429,8 +429,7 @@ def _nested(colors):
 def _all_caterpillars(genus, md):
     """(coloring, integer eta row) of the caterpillar (c0, c1) -- (c2, (...))
     over every coloring c of md, without fixing its end colors."""
-    return [(c, [int(x) for x in ts.eta().component_vector(md)])
-            for c, ts in _caterpillars(genus, md)]
+    return [(c, _eta_int_vector(ts, md)) for c, ts in _caterpillars(genus, md)]
 
 
 def _fixed_end_caterpillars(genus, md):
@@ -467,7 +466,7 @@ def _nested_half_rows(genus, md):
     for c in sorted(set(permutations(colors))):
         ts = TreeSum.single(genus, _nested(c), _nested(c))
         if ts.terms:
-            rows.append([int(x) // 2 for x in ts.eta().component_vector(md)])
+            rows.append([x // 2 for x in _eta_int_vector(ts, md)])
     return rows
 
 
@@ -550,16 +549,17 @@ def _tr3_over_all_chains(ts):
     genus = ts.genus
     if not ts.terms:
         return {}
-    dv = ts.eta()
+    sympy = pytest.importorskip("sympy")
     out = {}
-    for md in dv.multidegrees():
+    for md, vec in _component_vectors(ts.eta()):
         chains = _all_caterpillars(genus, md)
-        combo = solve_rational_combination(
-            [r for _c, r in chains], dv.component_vector(md))
-        assert combo is not None, md
-        for coeff, (c, _r) in zip(combo, chains):
+        # one rational x with sum_i x_i row_i = vec, its free parameters set
+        # to 0; gauss_jordan_solve raises ValueError when there is none
+        x, free = sympy.Matrix([r for _c, r in chains]).T.gauss_jordan_solve(
+            sympy.Matrix(vec))
+        for coeff, (c, _r) in zip(x.subs({t: 0 for t in free}), chains):
             for key, v in _chain_trace(genus, c).items():
-                out[key] = out.get(key, 0) + v * coeff
+                out[key] = out.get(key, 0) + v * Fraction(str(coeff))
     return {k: v for k, v in out.items() if v}
 
 
@@ -571,8 +571,7 @@ def test_tr3_matches_the_chain_formula_on_a_spanning_set(genus):
     # these chains it is Morita's trace on every degree-3 tree sum.
     for md in all_multidegrees(genus, 5):
         chains = _fixed_end_caterpillars(genus, md)
-        rows = [[int(x) for x in ts.eta().component_vector(md)]
-                for _c, ts in chains]
+        rows = [_eta_int_vector(ts, md) for _c, ts in chains]
         assert (hnf(rows, ambient_dim=len(component_basis(genus, 3, md))).rows
                 == tree_lattice(genus, 3, md).rows), md
         for chain, ts in chains:
@@ -628,8 +627,7 @@ def test_d2_contract_families_at_genus2():
         ok = True
         for d, dv in ts.eta_graded().items():
             assert d == 4
-            for md in dv.multidegrees():
-                vec = dv.component_vector(md)
+            for md, vec in _component_vectors(dv):
                 assert all((c * scale).denominator == 1 for c in vec)
                 ok = ok and tree_lattice(ts.genus, 4, md).contains(vec)
         return ok
@@ -786,7 +784,7 @@ def _multidegree(genus, key):
 
 
 def _component_vector_by_scan(dv, md):
-    """component_vector as one scan of every term against md."""
+    """The md component vector of dv, as one scan of every term against md."""
     basis = component_basis(dv.genus, dv.degree, md)
     vec = [0] * len(basis)
     for k, c in dv.terms.items():
@@ -810,15 +808,15 @@ def test_components_split_the_terms_by_multidegree(joins):
         assert all(_multidegree(2, k) == md
                    for md, part in parts.items() for k in part)
         assert dv.multidegrees() == sorted(parts)
-        for md in parts:
-            assert dv.component_vector(md) == _component_vector_by_scan(dv, md)
+        assert list(_component_vectors(dv)) == [
+            (md, _component_vector_by_scan(dv, md)) for md in sorted(parts)]
         # the trees use the letters 1..3 only, so letter 4 is off the support
         outside = (1, 1, 0, d)
-        assert dv.component_vector(outside) \
+        assert _place(2, d, outside, {}) \
             == [0] * len(component_basis(2, d, outside)) != []
         for bad in ((1, 1, d), (1, 1, 0, d + 1), (-1, 2, 1, d)):
             with pytest.raises(ValueError):
-                dv.component_vector(bad)
+                _place(2, d, bad, {})
 
 
 def test_eta_int_vector_refuses_fractions_and_foreign_terms():
